@@ -1,12 +1,12 @@
 // Interpreter throughput benchmark (docs/VM.md): runs mandelbrot-shaped,
-// OSEM-shaped and Gaussian-blur-stencil kernels on the kernelc VM across the
-// whole tier ladder —
-//   ref    tier 0, the guarded reference interpreter (SKELCL_KC_OPT=0)
-//   fast   tier 1, peephole superinstructions + packed encoding
-//   tier2  tier 2 pipeline (rewrite pass) on the sequential interpreter
-//   batch  tier 2 pipeline on the work-group-batched interpreter
+// OSEM-shaped and Gaussian-blur-stencil kernels on the kernelc VM along
+// every interpreter path —
+//   ref    the reference pipeline on the guarded interpreter (SKELCL_KC_OPT=0)
+//   fast   the optimized pipeline (peephole superinstructions + packed
+//          encoding) on the sequential fast interpreter
+//   batch  the optimized pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
-// and reports wall-clock Minstructions/s plus speedups over the tiers below.
+// and reports wall-clock Minstructions/s plus batch speedups.
 // Outputs must be bit-identical and the retired-instruction counts equal
 // across every configuration, otherwise the simulated GPU timings would
 // drift; the benchmark exits nonzero on any divergence.
@@ -62,8 +62,7 @@ const char* const kOsemSrc = R"(
 
 // Vertical 5-tap Gaussian over a column-pitched image: each work-item reads
 // its own column's taps at gid + t*512 from a halo-padded input.  Exercises
-// the strength-reduction rule (t*512 becomes a tracked increment) and the
-// LoadSlotElem superinstructions on the weight lookups.
+// the LoadSlotElem superinstructions on the weight lookups.
 const char* const kBlurSrc = R"(
   __kernel void blur(__global float* in, __global float* w, __global float* out) {
     int gid = get_global_id(0);
@@ -91,12 +90,12 @@ struct Workload {
 
 struct Config {
   const char* name;
-  int tier;
+  bool optimize;
   bool batch;
 };
 
 RunResult runWorkload(const Workload& w, const Config& cfg, std::vector<float>& out) {
-  const auto program = compileProgram(w.source, CompileOptions{cfg.tier});
+  const auto program = compileProgram(w.source, CompileOptions{cfg.optimize});
 
   std::vector<std::vector<float>> inputs;
   std::vector<MemRegion> regions;
@@ -151,10 +150,9 @@ RunResult runWorkload(const Workload& w, const Config& cfg, std::vector<float>& 
 }
 
 constexpr Config kConfigs[] = {
-    {"ref", 0, false},
-    {"fast", 1, false},
-    {"tier2", 2, false},
-    {"batch", 2, true},
+    {"ref", false, false},
+    {"fast", true, false},
+    {"batch", true, true},
 };
 constexpr int kNumConfigs = static_cast<int>(sizeof(kConfigs) / sizeof(kConfigs[0]));
 
@@ -194,7 +192,7 @@ BenchOutcome benchWorkload(const Workload& w) {
     std::printf(" %s %8.1f Mi/s", kConfigs[c].name, mips);
   }
   const double fastSec = results[1].seconds;
-  const double batchSec = results[3].seconds;
+  const double batchSec = results[2].seconds;
   outcome.speedupBatchOverFast = batchSec > 0 ? fastSec / batchSec : 0.0;
   std::printf("   batch/fast %.2fx  batch/ref %.2fx\n", outcome.speedupBatchOverFast,
               batchSec > 0 ? results[0].seconds / batchSec : 0.0);

@@ -154,7 +154,7 @@ struct Config {
   int nodes = 1;          ///< docl cluster nodes (devices spread evenly); 1 = local
   ElemType elem = ElemType::I32;
   std::size_t n = 64;
-  int kcopt = 2;          ///< SKELCL_KC_OPT tier: 0 ref, 1 fast, 2 rewrite+batch
+  int kcopt = 1;          ///< SKELCL_KC_OPT: 0 reference, 1 optimized pipeline
   std::uint64_t seed = 0; ///< generator seed (0 for hand-written programs)
   int poolSize = 5;
 };

@@ -75,7 +75,7 @@ Program generate(std::uint64_t seed, int numOps) {
   const int devChoices[3] = {1, 2, 4};
   cfg.devices = devChoices[seed % 3];
   cfg.elem = ((seed / 3) % 2) ? ElemType::F32 : ElemType::I32;
-  cfg.kcopt = static_cast<int>((seed / 6) % 3);
+  cfg.kcopt = ((seed / 6) % 3 == 0) ? 0 : 1;
   // About a third of the programs run on a docl cluster (devices spread
   // evenly across nodes, node-aware partitions + tree collectives); the
   // node count always divides the device count since both are powers of 2.

@@ -729,6 +729,11 @@ void Model::elementwiseOnce(const std::string& fn, MVec* in1, MVec* in2, MVec& o
 
 void Model::runElementwise(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
                            std::vector<MExtra>& extras) {
+  // Mirror of the engine's rejectOutputAsExtra: no state changes first.
+  for (const MExtra& e : extras) {
+    SKELCL_CHECK(e.kind != MExtra::Kind::VectorRef || e.vec != &output,
+                 "the output vector is also passed as an additional argument");
+  }
   const bool inPlace = (&output == in1) || (&output == in2);
   std::vector<MVec*> inputs{in1, in2};
   for (const MExtra& e : extras) {

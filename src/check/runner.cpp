@@ -71,7 +71,7 @@ void sanitize(Program& p) {
   if (c.n > 4096) c.n = 4096;
   if (c.poolSize < 1) c.poolSize = 1;
   if (c.poolSize > 12) c.poolSize = 12;
-  c.kcopt = c.kcopt < 0 ? 0 : (c.kcopt > 2 ? 2 : c.kcopt);
+  c.kcopt = c.kcopt < 0 ? 0 : (c.kcopt > 1 ? 1 : c.kcopt);  // old replays say kcopt=2
   const int pool = c.poolSize;
   const auto n = static_cast<std::int64_t>(c.n);
   const ElemType t = c.elem;

@@ -128,10 +128,10 @@ namespace {
 
 // Cache key: the compile pipeline is part of a compiled program's identity.
 // SKELCL_KC_OPT can change between calls (skelcheck toggles it per program),
-// so a cache keyed by source alone would serve a program compiled at a stale
-// tier.
+// so a cache keyed by source alone would serve a program compiled by a stale
+// pipeline.
 std::string cacheKey(const std::string& source) {
-  return std::to_string(kc::defaultCompileOptions().tier) + '\n' + source;
+  return (kc::defaultCompileOptions().optimize ? "1\n" : "0\n") + source;
 }
 
 }  // namespace

@@ -111,6 +111,16 @@ std::string extraNames(const std::vector<ExtraArg>& extras,
   return out;
 }
 
+/// An output that is also a vector additional argument would be written by
+/// some work-items while others read it: undefined in OpenCL and a data race
+/// here.  Checked before the call changes any state.
+void rejectOutputAsExtra(const VectorData& output, const std::vector<ExtraArg>& extras) {
+  for (const ExtraArg& e : extras) {
+    SKELCL_CHECK(e.kind != ExtraArg::Kind::VectorRef || e.vector != &output,
+                 "the output vector is also passed as an additional argument");
+  }
+}
+
 /// Prepare all extra-argument vectors (they must carry an explicit
 /// distribution, paper Section III-B) and bind extras to a kernel starting at
 /// parameter `firstIndex` for `device`.
@@ -395,6 +405,7 @@ void runElementwise(Session& session, const std::string& userSource,
                     VectorData& output,
                     const std::string& inType1, const std::string& inType2,
                     const std::string& outType, std::vector<ExtraArg>& extras) {
+  rejectOutputAsExtra(output, extras);
   std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
   const bool inPlace = (&output == input1) || (&output == input2);
   withDeviceLossRecovery(session, recoveryInputs(input1, input2, extras),
@@ -1325,6 +1336,7 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
                    bool forceUnfused) {
   SKELCL_CHECK(!stages.empty(), "skeleton pipeline has no stages");
   SKELCL_CHECK(output.count() == input.count(), "pipeline output size mismatch");
+  for (const FusedStage& st : stages) rejectOutputAsExtra(output, st.extras);
   std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
   if (forceUnfused || !chainEligible(input, stages)) {
     runChainUnfused(session, input, inTypeName, stages, output);
@@ -2030,6 +2042,7 @@ void runMapOverlap1D(Session& session, const std::string& userSource, VectorData
   SKELCL_CHECK(output.count() == input.count(), "map-overlap output size mismatch");
   SKELCL_CHECK(&output != &input,
                "map-overlap cannot run in place: the stencil reads neighbours of every element");
+  rejectOutputAsExtra(output, extras);
   withDeviceLossRecovery(session, recoveryInputs(&input, nullptr, extras), &output, [&] {
     runMapOverlap1DOnce(session, userSource, input, output, typeName, radius, padding, neutral,
                         extras);

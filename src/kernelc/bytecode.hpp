@@ -115,11 +115,9 @@ inline constexpr int kOpCount = static_cast<int>(Op::PushCF) + 1;
 const char* opName(Op op);
 
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
-/// `weight` is the number of source (naive) instructions this one retires;
-/// 1 for everything the compiler emits, >1 for peephole superinstructions,
-/// and 0 for code the rewrite pass hoisted out of a loop (the hoisted
-/// computation's weight is charged by the in-loop replacement instruction at
-/// its original frequency, keeping retired counts pipeline-independent).
+/// `weight` is the number of source (naive) instructions this one retires:
+/// 1 for everything the compiler emits, the window length for peephole
+/// superinstructions.
 struct Insn {
   Op op;
   std::int32_t a = 0;

@@ -200,9 +200,6 @@ std::string disassemble(const FunctionCode& fn) {
       default:
         break;
     }
-    // Weight 0 marks code the rewrite pass synthesized (hoisted / tracking
-    // instructions); its cost was charged to the in-loop replacements.
-    if (insn.weight == 0) os << "  ;hoisted";
     if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
     os << "\n";
   }
@@ -282,7 +279,6 @@ std::string disassemblePacked(const FunctionCode& fn) {
       default:
         break;
     }
-    if (insn.weight == 0) os << "  ;hoisted";
     if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
     os << "\n";
   }

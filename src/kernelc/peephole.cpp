@@ -104,22 +104,16 @@ void peepholeOptimize(FunctionCode& fn) {
 
   std::size_t i = 0;
   while (i < n) {
-    // No branch target strictly inside a window of `len` instructions at i,
-    // and the members' summed retired weight must fit the superinstruction's
-    // weight field.  (The sum is the window length for compiler-fresh code,
-    // but the rewrite pass leaves instructions carrying 0 or >1 weights.)
+    // No branch target strictly inside a window of `len` instructions at i.
     auto clear = [&](std::size_t len) {
       if (i + len > n) return false;
-      int wsum = 0;
-      for (std::size_t j = 0; j < len; ++j) {
-        if (j > 0 && isTarget[i + j]) return false;
-        wsum += code[i + j].weight;
+      for (std::size_t j = 1; j < len; ++j) {
+        if (isTarget[i + j]) return false;
       }
-      return wsum <= 255;
+      return true;
     };
-    // Retired weight of the window [i, i+len): summing members (instead of
-    // hardcoding the window length) keeps counts exact when fusing rewritten
-    // instructions.
+    // Retired weight of the window [i, i+len): the summed weights of its
+    // members, so fusion keeps the naive program's retired count.
     const auto wsum = [&](std::size_t len) {
       int w = 0;
       for (std::size_t j = 0; j < len; ++j) w += code[i + j].weight;

@@ -9,7 +9,6 @@
 #include "kernelc/parser.hpp"
 #include "kernelc/peephole.hpp"
 #include "kernelc/preprocessor.hpp"
-#include "kernelc/rewrite.hpp"
 #include "kernelc/sema.hpp"
 
 namespace skelcl::kc {
@@ -17,10 +16,7 @@ namespace skelcl::kc {
 CompileOptions defaultCompileOptions() {
   CompileOptions options;
   const char* env = std::getenv("SKELCL_KC_OPT");
-  if (env != nullptr) {
-    if (std::strcmp(env, "0") == 0) options.tier = 0;
-    else if (std::strcmp(env, "1") == 0) options.tier = 1;
-  }
+  if (env != nullptr && std::strcmp(env, "0") == 0) options.optimize = false;
   return options;
 }
 
@@ -47,13 +43,7 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   program->functions = compiler.run();
   program->complexity = complexity;
   program->source = source;
-  program->tier = options.tier;
-  if (options.tier >= 2) {
-    // Rewrite rules run on the naive IR so the peephole pass can fuse the
-    // rewritten index arithmetic into its superinstructions.
-    for (FunctionCode& fn : program->functions) rewriteOptimize(fn);
-  }
-  if (options.tier >= 1) {
+  if (options.optimize) {
     for (FunctionCode& fn : program->functions) peepholeOptimize(fn);
     finalizeFunctions(program->functions);
     program->optimized = true;

@@ -8,25 +8,21 @@
 
 namespace skelcl::kc {
 
-/// Pipeline selection for compileProgram.
+/// Pipeline selection for compileProgram (the two pipelines of docs/VM.md).
 struct CompileOptions {
-  /// Optimization tier (the ladder in docs/VM.md):
-  ///   0 — reference: naive Insn stream on the guarded reference interpreter.
-  ///       The differential-testing oracle.
-  ///   1 — fast: peephole superinstructions + packed 16-byte encoding + fast
-  ///       interpreter (PR 4).
-  ///   2 — fast + the rewrite pass (kernelc/rewrite.hpp: loop-invariant
-  ///       hoisting, strength reduction, pointer-bias fusion) before the
-  ///       peephole pass, and eligibility for work-group-batched execution
-  ///       (Vm::runKernelBatch).
-  /// Every tier produces bit-identical outputs and identical
-  /// retired-instruction counts; higher tiers only run faster.
-  int tier = 2;
+  /// false — reference: naive Insn stream on the guarded reference
+  ///         interpreter.  The differential-testing oracle.
+  /// true  — optimized: peephole superinstructions + packed 16-byte encoding,
+  ///         run on the work-group-batched interpreter where
+  ///         FunctionCode::batchable allows and on the fast interpreter
+  ///         otherwise.
+  /// Both produce bit-identical outputs and identical retired-instruction
+  /// counts; the optimized pipeline only runs faster.
+  bool optimize = true;
 };
 
 /// The process-wide default, from the environment: SKELCL_KC_OPT=0 selects
-/// the reference pipeline, =1 the fast pipeline without rewrites; anything
-/// else (including unset) selects the full tier-2 pipeline.
+/// the reference pipeline; anything else (including unset) the optimized one.
 CompileOptions defaultCompileOptions();
 
 /// Compile a kernel-language translation unit.  Throws CompileError with the

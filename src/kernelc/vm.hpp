@@ -3,15 +3,17 @@
 // real OpenCL, which the paper notes "performs no boundary checks" — and the
 // executed-instruction count feeds the device cost model in sim::System.
 //
-// Two interpreter paths share this class (docs/VM.md):
-//  - the *fast* path (default) runs the compact 16-byte PackedInsn encoding
-//    with a preallocated slot arena, a raw-pointer operand stack guarded once
-//    per frame by the compiler-computed maxStack, and infinite-loop budget
-//    checks on back-edges and calls only;
+// Three interpreter paths share this class (docs/VM.md):
+//  - the *fast* path runs optimized programs' compact 16-byte PackedInsn
+//    encoding with a preallocated slot arena, a raw-pointer operand stack
+//    guarded once per frame by the compiler-computed maxStack, and
+//    infinite-loop budget checks on back-edges and calls only;
+//  - the *batched* path (runKernelBatch, vm_batch.cpp) runs the same
+//    encoding over a whole work-group per opcode decode;
 //  - the *reference* path (SKELCL_KC_OPT=0) interprets the 32-byte Insn IR
 //    with per-push guards and per-call heap-allocated locals, exactly as the
 //    original interpreter did.
-// Both retire identical instruction counts (superinstructions carry the
+// All retire identical instruction counts (superinstructions carry the
 // weight of the naive window they replace) and produce bit-identical data.
 #pragma once
 
@@ -41,12 +43,9 @@ struct CompiledProgram {
   std::uint64_t complexity = 0;  ///< token count; drives the compile-cost model
   std::string source;
   /// True when the optimized pipeline ran (peephole + packed encoding); the
-  /// VM picks its interpreter path from this.
+  /// VM picks its interpreter path from this, and the device queue runs
+  /// optimized programs work-group-batched.
   bool optimized = false;
-  /// Optimization tier this program was compiled at (CompileOptions::tier):
-  /// 0 reference, 1 fast, 2 fast + rewrite pass + batch eligibility.
-  /// Hand-assembled programs default to 0 regardless of `optimized`.
-  int tier = 0;
   /// name -> index over `functions`, built once at compile time (names are
   /// unique; sema rejects redefinitions).  Empty for hand-assembled programs.
   std::unordered_map<std::string, int> functionIndex;

@@ -1,4 +1,4 @@
-// Work-group-batched execution (tier 2, docs/VM.md): the dispatch loop is
+// Work-group-batched execution (docs/VM.md): the dispatch loop is
 // inverted — one opcode decode drives every live work-item ("lane") of a
 // group through the operation before moving to the next instruction, over
 // lane-strided slot/stack arenas.  Straight-line and uniformly-looping
@@ -13,7 +13,7 @@
 //    8-byte union of exactly those representations).  The build compiles
 //    this file with -fno-strict-aliasing, which makes the views
 //    well-defined; -ffp-contract=off keeps float results bit-identical to
-//    the scalar tiers.
+//    the scalar interpreters.
 //
 //  * Lane compaction.  Every group owns a contiguous lane range
 //    [off, off+cnt) of the arenas at all times.  A divergent branch

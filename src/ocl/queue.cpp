@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -304,14 +303,11 @@ Event CommandQueue::enqueueNDRangeKernel(Kernel& kernel, std::uint64_t globalSiz
   std::exception_ptr firstError;
   std::mutex errorMutex;
 
-  // Work-group-batched execution (tier 2): amortize instruction dispatch over
-  // up to kBatchLanes consecutive work-items per runKernelBatch call.
-  // runKernelBatch itself falls back to per-item execution when the kernel is
-  // not batchable; SKELCL_KC_BATCH=0 forces the sequential loop for
-  // debugging/benchmarking.
-  const char* batchEnv = std::getenv("SKELCL_KC_BATCH");
-  const bool useBatch = program->tier >= 2 &&
-                        (batchEnv == nullptr || std::strcmp(batchEnv, "0") != 0);
+  // Optimized programs run work-group-batched: instruction dispatch is
+  // amortized over up to kBatchLanes consecutive work-items per
+  // runKernelBatch call, which itself falls back to per-item execution when
+  // the kernel is not batchable.
+  const bool useBatch = program->optimized;
 
   sim::ThreadPool::global().parallelFor(globalSize, [&](std::uint64_t begin, std::uint64_t end) {
     kc::Vm vm(*program, regions);

@@ -56,12 +56,12 @@ RunOutcome run(const CompiledProgram& program, const std::string& kernel,
   return out;
 }
 
-/// Compile at tier 2 and require the batched run to match the sequential run
-/// bit-for-bit, with equal retired-instruction counts.
+/// Compile with the optimized pipeline and require the batched run to match
+/// the sequential run bit-for-bit, with equal retired-instruction counts.
 void expectBatchMatchesSequential(const std::string& source, const std::string& kernel,
                                   std::vector<float> data, std::int64_t n,
                                   std::vector<Slot> extraArgs = {}) {
-  const auto program = compileProgram(source, CompileOptions{2});
+  const auto program = compileProgram(source, CompileOptions{true});
   const RunOutcome seq = run(*program, kernel, data, n, extraArgs, /*batch=*/false);
   const RunOutcome bat = run(*program, kernel, std::move(data), n, extraArgs,
                              /*batch=*/true);
@@ -154,7 +154,7 @@ TEST(KernelcBatch, SecondDimensionGlobalIdIsZero) {
       out[gid] = (float)gid + (float)get_global_id(1) * 1000.0f;
     }
   )";
-  const auto program = compileProgram(src, CompileOptions{2});
+  const auto program = compileProgram(src, CompileOptions{true});
   const RunOutcome bat =
       run(*program, "dims", std::vector<float>(64, -1.0f), 64, {}, true);
   for (std::size_t i = 0; i < bat.data.size(); ++i) {
@@ -177,7 +177,7 @@ TEST(KernelcBatch, NonBatchableKernelFallsBack) {
       out[gid] = bins[0] + bins[1] * 2.0f + bins[2] * 3.0f + bins[3] * 4.0f;
     }
   )";
-  const auto program = compileProgram(src, CompileOptions{2});
+  const auto program = compileProgram(src, CompileOptions{true});
   const int k = program->findKernel("histo");
   ASSERT_GE(k, 0);
   EXPECT_FALSE(program->functions[static_cast<std::size_t>(k)].batchable);
@@ -186,7 +186,7 @@ TEST(KernelcBatch, NonBatchableKernelFallsBack) {
 }
 
 TEST(KernelcBatch, BatchableFlagComputedForStraightLineKernels) {
-  const auto program = compileProgram(kEscapeSrc, CompileOptions{2});
+  const auto program = compileProgram(kEscapeSrc, CompileOptions{true});
   const int k = program->findKernel("escape");
   ASSERT_GE(k, 0);
   EXPECT_TRUE(program->functions[static_cast<std::size_t>(k)].batchable);
@@ -201,7 +201,7 @@ TEST(KernelcBatch, OutOfBoundsFaultsAsVmError) {
       out[gid] = out[2 * gid];
     }
   )";
-  const auto program = compileProgram(src, CompileOptions{2});
+  const auto program = compileProgram(src, CompileOptions{true});
   ASSERT_TRUE(
       program->functions[static_cast<std::size_t>(program->findKernel("oob"))].batchable);
   std::vector<float> buf(64, 1.0f);
@@ -222,7 +222,7 @@ TEST(KernelcBatch, DivisionByZeroFaultsAsVmError) {
       out[gid] = (float)(100 / (gid - d));
     }
   )";
-  const auto program = compileProgram(src, CompileOptions{2});
+  const auto program = compileProgram(src, CompileOptions{true});
   std::vector<float> buf(16, 0.0f);
   std::vector<MemRegion> regions{
       MemRegion{reinterpret_cast<std::byte*>(buf.data()), buf.size() * sizeof(float)}};
@@ -237,7 +237,7 @@ TEST(KernelcBatch, DivisionByZeroFaultsAsVmError) {
 TEST(KernelcBatch, CountsAccumulateAcrossChunks) {
   // Two half-full chunks on one VM retire exactly what one sequential pass
   // does: the counter is shared and exact, not per-call approximate.
-  const auto program = compileProgram(kEscapeSrc, CompileOptions{2});
+  const auto program = compileProgram(kEscapeSrc, CompileOptions{true});
   const RunOutcome seq =
       run(*program, "escape", std::vector<float>(128, 0.0f), 128, {Slot::fromInt(48)},
           false);

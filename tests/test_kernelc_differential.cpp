@@ -1,10 +1,10 @@
-// Differential tests across the interpreter tier ladder (docs/VM.md): the
-// same source compiled at tier 0 (reference), tier 1 (peephole + packed +
-// fast interpreter) and tier 2 (rewrite pass), plus tier 2 run on the
+// Differential tests across the interpreter paths (docs/VM.md): the same
+// source compiled by the reference pipeline and by the optimized pipeline
+// (peephole + packed encoding), the latter run on both the fast and the
 // work-group-batched interpreter, must produce bit-identical buffer
-// contents, identical scalar results, and — because superinstructions and
-// rewrite replacements carry the weight of the naive windows they replace —
-// identical retired-instruction counts (which drive simulated kernel time).
+// contents, identical scalar results, and — because superinstructions carry
+// the weight of the naive windows they replace — identical retired-
+// instruction counts (which drive simulated kernel time).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,18 +19,16 @@ using namespace skelcl::kc;
 
 namespace {
 
-/// Run `kernel` from `source` over `n` work-items under every tier (plus the
-/// batched interpreter at tier 2), each on its own copy of `data`, and
-/// require bitwise-equal buffers and equal instruction counts throughout.
+/// Run `kernel` from `source` over `n` work-items on every interpreter path,
+/// each on its own copy of `data`, and require bitwise-equal buffers and
+/// equal instruction counts throughout.
 void expectIdentical(const std::string& source, const std::string& kernel,
                      std::vector<float> data, std::int64_t n,
                      std::vector<Slot> extraArgs = {}) {
-  const auto ref = compileProgram(source, CompileOptions{0});
-  const auto fast = compileProgram(source, CompileOptions{1});
-  const auto tier2 = compileProgram(source, CompileOptions{2});
+  const auto ref = compileProgram(source, CompileOptions{false});
+  const auto fast = compileProgram(source, CompileOptions{true});
   ASSERT_FALSE(ref->optimized);
   ASSERT_TRUE(fast->optimized);
-  ASSERT_TRUE(tier2->optimized);
 
   const auto run = [&](const CompiledProgram& program, std::vector<float>& buf,
                        std::uint64_t& count, bool batch) {
@@ -64,16 +62,15 @@ void expectIdentical(const std::string& source, const std::string& kernel,
   const Leg legs[] = {
       {"ref", ref.get(), false},
       {"fast", fast.get(), false},
-      {"tier2", tier2.get(), false},
-      {"batch", tier2.get(), true},
+      {"batch", fast.get(), true},
   };
-  std::vector<float> bufs[4];
-  std::uint64_t counts[4] = {0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
+  std::vector<float> bufs[3];
+  std::uint64_t counts[3] = {0, 0, 0};
+  for (int i = 0; i < 3; ++i) {
     bufs[i] = data;
     run(*legs[i].program, bufs[i], counts[i], legs[i].batch);
   }
-  for (int i = 1; i < 4; ++i) {
+  for (int i = 1; i < 3; ++i) {
     EXPECT_EQ(counts[i], counts[0])
         << legs[i].name << ": retired-instruction counts diverged — "
                            "simulated kernel time would change";
@@ -86,20 +83,15 @@ void expectIdentical(const std::string& source, const std::string& kernel,
 
 std::int64_t callBoth(const std::string& source, const std::string& fn,
                       std::vector<Slot> args, std::uint64_t* counts) {
-  const auto fast = compileProgram(source, CompileOptions{1});
-  const auto ref = compileProgram(source, CompileOptions{0});
-  const auto tier2 = compileProgram(source, CompileOptions{2});
+  const auto fast = compileProgram(source, CompileOptions{true});
+  const auto ref = compileProgram(source, CompileOptions{false});
   Vm vmFast(*fast, {});
   Vm vmRef(*ref, {});
-  Vm vmT2(*tier2, {});
   const Slot a = vmFast.callFunction(fast->findFunction(fn), args);
   const Slot b = vmRef.callFunction(ref->findFunction(fn), args);
-  const Slot c = vmT2.callFunction(tier2->findFunction(fn), args);
   counts[0] = vmFast.instructionsExecuted();
   counts[1] = vmRef.instructionsExecuted();
   EXPECT_EQ(a.i, b.i);  // full 64-bit slot compare covers int and float bits
-  EXPECT_EQ(c.i, b.i);
-  EXPECT_EQ(vmT2.instructionsExecuted(), counts[1]);
   return a.i;
 }
 

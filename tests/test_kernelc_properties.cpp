@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <string>
 
 #include "kernelc_test_util.hpp"
@@ -24,6 +25,10 @@ struct IntOpCase {
   std::int32_t (*eval)(std::int32_t, std::int32_t);
   bool avoidZeroRhs;
 };
+
+// Print the operator, not gtest's default byte dump: the dump holds the
+// struct's pointers, so the discovered ctest names would change per build.
+void PrintTo(const IntOpCase& c, std::ostream* os) { *os << c.op; }
 
 std::int32_t hAdd(std::int32_t a, std::int32_t b) {
   return static_cast<std::int32_t>(static_cast<std::int64_t>(a) + b);
@@ -94,6 +99,8 @@ struct UintOpCase {
   bool avoidZeroRhs;
 };
 
+void PrintTo(const UintOpCase& c, std::ostream* os) { *os << c.op; }
+
 std::uint32_t uDiv(std::uint32_t a, std::uint32_t b) { return a / b; }
 std::uint32_t uRem(std::uint32_t a, std::uint32_t b) { return a % b; }
 std::uint32_t uShr(std::uint32_t a, std::uint32_t b) { return a >> (b & 31u); }
@@ -141,6 +148,8 @@ struct FloatOpCase {
   float (*eval)(float, float);
 };
 
+void PrintTo(const FloatOpCase& c, std::ostream* os) { *os << c.op; }
+
 float fAdd(float a, float b) { return a + b; }
 float fSub(float a, float b) { return a - b; }
 float fMul(float a, float b) { return a * b; }
@@ -185,6 +194,8 @@ struct MathCase {
   double lo;
   double hi;
 };
+
+void PrintTo(const MathCase& c, std::ostream* os) { *os << c.name; }
 
 class MathBuiltin : public ::testing::TestWithParam<MathCase> {};
 

@@ -472,12 +472,12 @@ TEST(ServicePreemption, OversizedMapJobIsSlicedIntoQuanta) {
       << "sliced execution must be bit-identical to a single run";
 }
 
-// --- the compile cache keys on (tier, source), not source alone -------------
+// --- the compile cache keys on (optimized, source), not source alone --------
 
 TEST(SessionProgramCache, TierIsPartOfTheCacheKey) {
   // skelcheck flips SKELCL_KC_OPT between programs; a cache keyed by source
-  // alone would hand a tier-1 program to a tier-0 request (regression test
-  // for exactly that staleness bug).
+  // alone would hand an optimized program to a reference request (regression
+  // test for exactly that staleness bug).
   struct EnvGuard {
     std::string saved;
     bool had;
@@ -496,25 +496,23 @@ TEST(SessionProgramCache, TierIsPartOfTheCacheKey) {
   ::setenv("SKELCL_KC_OPT", "1", 1);
   const auto fast = state.hostProgram(kAddSrc);
   EXPECT_TRUE(fast->optimized);
-  EXPECT_EQ(fast->tier, 1);
 
   ::setenv("SKELCL_KC_OPT", "0", 1);
   const auto ref = state.hostProgram(kAddSrc);
-  EXPECT_FALSE(ref->optimized) << "stale tier-1 program served for a tier-0 request";
-  EXPECT_EQ(ref->tier, 0);
+  EXPECT_FALSE(ref->optimized) << "stale optimized program served for a reference request";
   EXPECT_NE(fast.get(), ref.get());
 
-  // Same tier again: the cache must still hit.
+  // Same pipeline again: the cache must still hit.
   const auto refAgain = state.hostProgram(kAddSrc);
   EXPECT_EQ(ref.get(), refAgain.get());
 
-  // The device-program cache distinguishes tiers the same way.
+  // The device-program cache distinguishes the pipelines the same way.
   const char* kernelSrc = "__kernel void k(__global float* p) { p[get_global_id(0)] = 1.0f; }";
   const auto devRef = state.programForSource(kernelSrc);
-  ::setenv("SKELCL_KC_OPT", "2", 1);
-  const auto devT2 = state.programForSource(kernelSrc);
-  EXPECT_NE(devRef.get(), devT2.get());
-  EXPECT_EQ(devT2.get(), state.programForSource(kernelSrc).get());
+  ::setenv("SKELCL_KC_OPT", "1", 1);
+  const auto devOpt = state.programForSource(kernelSrc);
+  EXPECT_NE(devRef.get(), devOpt.get());
+  EXPECT_EQ(devOpt.get(), state.programForSource(kernelSrc).get());
 }
 
 // --- the trace collector resets between init/terminate cycles ---------------

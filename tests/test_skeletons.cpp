@@ -180,6 +180,32 @@ TEST_F(SkeletonTest, AdditionalVectorWithoutDistributionThrows) {
   EXPECT_THROW(gather(idx, table), UsageError);
 }
 
+TEST_F(SkeletonTest, OutTargetPassedAsAdditionalArgumentThrows) {
+  // map(out(v), x, v): work-items would read elements of v that other
+  // work-items write.  Every skeleton taking an Out<> target and extras
+  // rejects it with a UsageError before anything runs.
+  Map<float(float)> addv("float func(float x, __global float* v) { return x + v[0]; }");
+  Zip<float> zipv("float func(float a, float b, __global float* v) { return a + b + v[0]; }");
+  MapOverlap<float(float)> stencil(
+      "float func(__global float* in, int i, __global float* v) { return in[i] + v[0]; }", 1);
+  Pipeline<float> chain;
+  Vector<float> x({1.0f, 2.0f, 3.0f, 4.0f});
+  Vector<float> v({10.0f, 20.0f, 30.0f, 40.0f});
+  v.setDistribution(Distribution::copy());
+  chain.map("float func(float a, __global float* v) { return a + v[0]; }", v);
+  EXPECT_THROW(addv(out(v), x, v), UsageError);
+  EXPECT_THROW(addv(out(v), v, v), UsageError);
+  EXPECT_THROW(zipv(out(v), x, x, v), UsageError);
+  EXPECT_THROW(stencil(out(v), x, v), UsageError);
+  EXPECT_THROW(chain(out(v), x), UsageError);
+  EXPECT_EQ(v.distribution(), Distribution::copy());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(v[i], 10.0f * (i + 1)) << i;
+
+  // A different output vector is fine.
+  addv(out(x), x, v);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(x[i], 11.0f + i) << i;
+}
+
 TEST_F(SkeletonTest, SizesTokenDeliversPartSizes) {
   // Every work item reports its device's part size of the data vector.
   Map<int(Index)> partSize("int func(int i, int localSize) { return localSize; }");

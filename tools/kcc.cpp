@@ -3,9 +3,8 @@
 //   kcc FILE.cl            compile; print diagnostics or "ok"
 //   kcc -d FILE.cl         compile and disassemble every function
 //   kcc -p FILE.cl         dump the packed (16-byte) dispatch encoding
-//   kcc -r FILE.cl         dump the Insn IR right after the rewrite pass
-//                          (before peephole): hoisted code shows as ;hoisted
-//   kcc -O<tier> ...       compile at tier 0/1/2 instead of the default
+//   kcc -O0 ...            compile with the reference pipeline (-O1, the
+//                          optimized pipeline, is the default)
 //   kcc -e 'EXPR' ARGS...  compile `double f(double...)`-style one-liners and
 //                          evaluate: kcc -e 'sqrt(x*x + 1.0f)' 3
 //
@@ -22,7 +21,6 @@
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/disasm.hpp"
 #include "kernelc/program.hpp"
-#include "kernelc/rewrite.hpp"
 
 namespace {
 
@@ -67,8 +65,7 @@ int evalExpression(const std::string& expr, const std::vector<double>& args) {
 int main(int argc, char** argv) {
   bool disassemble = false;
   bool packed = false;
-  bool postRewrite = false;
-  int tier = -1;  // -1: keep the SKELCL_KC_OPT / built-in default
+  int optimize = -1;  // -1: keep the SKELCL_KC_OPT / built-in default
   int argi = 1;
   while (argi < argc && argv[argi][0] == '-' && std::strcmp(argv[argi], "-") != 0 &&
          std::strcmp(argv[argi], "-e") != 0) {
@@ -76,11 +73,8 @@ int main(int argc, char** argv) {
       disassemble = true;
     } else if (std::strcmp(argv[argi], "-p") == 0) {
       packed = true;
-    } else if (std::strcmp(argv[argi], "-r") == 0) {
-      postRewrite = true;
-    } else if (std::strncmp(argv[argi], "-O", 2) == 0 && argv[argi][2] >= '0' &&
-               argv[argi][2] <= '2' && argv[argi][3] == '\0') {
-      tier = argv[argi][2] - '0';
+    } else if (std::strcmp(argv[argi], "-O0") == 0 || std::strcmp(argv[argi], "-O1") == 0) {
+      optimize = argv[argi][2] - '0';
     } else {
       std::fprintf(stderr, "kcc: unknown flag %s\n", argv[argi]);
       return 2;
@@ -103,29 +97,17 @@ int main(int argc, char** argv) {
   }
   if (argi >= argc) {
     std::fprintf(stderr,
-                 "usage: kcc [-d|-p|-r] [-O<0|1|2>] FILE.cl | kcc -e 'EXPR' [args...]\n"
+                 "usage: kcc [-d|-p] [-O<0|1>] FILE.cl | kcc -e 'EXPR' [args...]\n"
                  "       (FILE may be '-' for stdin)\n");
     return 2;
   }
 
   const std::string source = readFile(argv[argi]);
   try {
-    if (postRewrite) {
-      // Compile the naive IR (tier 0) and run the rewrite pass alone, so the
-      // dump shows its effect before peephole fusion obscures the windows.
-      const auto program =
-          skelcl::kc::compileProgram(source, skelcl::kc::CompileOptions{0});
-      for (skelcl::kc::FunctionCode fn : program->functions) {
-        const int applied = skelcl::kc::rewriteOptimize(fn);
-        std::printf("; %d rewrite(s)\n", applied);
-        std::fputs(skelcl::kc::disassemble(fn).c_str(), stdout);
-        std::fputs("\n", stdout);
-      }
-      return 0;
-    }
     const auto program =
-        tier >= 0 ? skelcl::kc::compileProgram(source, skelcl::kc::CompileOptions{tier})
-                  : skelcl::kc::compileProgram(source);
+        optimize >= 0
+            ? skelcl::kc::compileProgram(source, skelcl::kc::CompileOptions{optimize == 1})
+            : skelcl::kc::compileProgram(source);
     if (disassemble || packed) {
       for (const auto& fn : program->functions) {
         std::fputs((packed ? skelcl::kc::disassemblePacked(fn)
