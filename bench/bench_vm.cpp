@@ -1,22 +1,26 @@
 // Interpreter throughput benchmark (docs/VM.md): runs mandelbrot-shaped,
-// OSEM-shaped and Gaussian-blur-stencil kernels on the kernelc VM along
-// every interpreter path —
+// OSEM-shaped, Gaussian-blur-stencil and generated-skeleton kernels on the
+// kernelc VM along every interpreter path —
 //   ref    the reference pipeline on the guarded interpreter (SKELCL_KC_OPT=0)
-//   fast   the optimized pipeline (peephole superinstructions + packed
-//          encoding) on the sequential fast interpreter
+//   fast   the optimized pipeline (inlining, peephole superinstructions,
+//          packed encoding) on the sequential fast interpreter
 //   batch  the optimized pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
-// and reports wall-clock Minstructions/s plus batch speedups.
+// Each leg is timed over 5 repetitions in-process (2 with --smoke); the
+// table reports the median Minstructions/s with its interquartile range,
+// and batch speedups as ratios of median times.
 // Outputs must be bit-identical and the retired-instruction counts equal
-// across every configuration, otherwise the simulated GPU timings would
-// drift; the benchmark exits nonzero on any divergence.
+// across every configuration and repetition, otherwise the simulated GPU
+// timings would drift; the benchmark exits nonzero on any divergence.
 //
 //   usage: bench_vm [--smoke] [--gate]
 //     --smoke   small sizes (CI): divergence checks only
-//     --gate    additionally require batch >= 3x fast on mandelbrot and osem
+//     --gate    additionally require median batch >= 3x fast on mandelbrot
+//               and osem
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -74,18 +78,49 @@ const char* const kBlurSrc = R"(
   }
 )";
 
-struct RunResult {
-  double seconds = 0.0;
-  std::uint64_t instructions = 0;
+// Generated-skeleton shapes: a user `func` merged into the kernel text that
+// skeleton_exec.cpp emits.  The map is perfbench's cluster map (a Map with
+// one vector additional argument); the reduce is the step-1 chunk loop of
+// Reduce.  Both only batch because the optimized pipeline inlines `func`.
+const char* const kSkelMapSrc = R"(
+float func(float x, __global float* w) { float s = x; for (int i = 0; i < 6; ++i) s = fmod(2.0f * s + w[0], 9.0f); return s; }
+__kernel void skelcl_kernel(__global float* skelcl_in1, __global float* skelcl_out, int skelcl_n, int skelcl_base, __global float* skelcl_a0) {
+  int skelcl_i = get_global_id(0);
+  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = func(skelcl_in1[skelcl_i], skelcl_a0);
+}
+)";
+
+const char* const kSkelReduceSrc = R"(
+float func(float a, float b) { return a + b; }
+__kernel void skelcl_reduce(__global float* skelcl_in, __global float* skelcl_partials, int skelcl_n, int skelcl_chunk) {
+  int skelcl_w = get_global_id(0);
+  int skelcl_begin = skelcl_w * skelcl_chunk;
+  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);
+  float skelcl_acc = skelcl_in[skelcl_begin];
+  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)
+    skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);
+  skelcl_partials[skelcl_w] = skelcl_acc;
+}
+)";
+
+/// One kernel argument, in parameter order.
+struct Arg {
+  enum class Kind { In, Out, Scalar };
+  Kind kind;
+  std::int64_t elems = 0;  ///< In: buffer length in floats (Out has `items`)
+  std::int64_t value = 0;  ///< Scalar: int argument
 };
+
+Arg in(std::int64_t elems) { return Arg{Arg::Kind::In, elems, 0}; }
+Arg out() { return Arg{Arg::Kind::Out, 0, 0}; }
+Arg scalar(std::int64_t v) { return Arg{Arg::Kind::Scalar, 0, v}; }
 
 struct Workload {
   const char* name;
   const char* source;
   const char* kernel;
   std::int64_t items;
-  std::vector<Slot> extraArgs;           ///< after the buffer pointer args
-  std::vector<std::int64_t> inputSizes;  ///< element counts of buffers before `out`
+  std::vector<Arg> args;
 };
 
 struct Config {
@@ -94,60 +129,87 @@ struct Config {
   bool batch;
 };
 
-RunResult runWorkload(const Workload& w, const Config& cfg, std::vector<float>& out) {
+/// All repetitions of one workload on one configuration.
+struct Leg {
+  std::vector<double> seconds;   ///< one per repetition
+  std::uint64_t instructions = 0;
+  std::vector<float> out;
+  bool stable = true;  ///< every repetition retired the same count and output
+};
+
+Leg runLeg(const Workload& w, const Config& cfg, int reps) {
   const auto program = compileProgram(w.source, CompileOptions{cfg.optimize});
-
-  std::vector<std::vector<float>> inputs;
-  std::vector<MemRegion> regions;
-  std::vector<Slot> args;
-  int b = 0;
-  for (const std::int64_t size : w.inputSizes) {
-    inputs.emplace_back(static_cast<std::size_t>(size));
-    for (std::size_t i = 0; i < inputs.back().size(); ++i) {
-      inputs.back()[i] = 0.25f * static_cast<float>((i * 7 + static_cast<std::size_t>(b)) % 100 + 1);
-    }
-    regions.push_back(MemRegion{reinterpret_cast<std::byte*>(inputs.back().data()),
-                                inputs.back().size() * sizeof(float)});
-    Ptr p;
-    p.region = static_cast<std::int32_t>(regions.size());
-    p.offset = 0;
-    args.push_back(Slot::fromPtr(p));
-    ++b;
-  }
-  out.assign(static_cast<std::size_t>(w.items), 0.0f);
-  regions.push_back(
-      MemRegion{reinterpret_cast<std::byte*>(out.data()), out.size() * sizeof(float)});
-  Ptr p;
-  p.region = static_cast<std::int32_t>(regions.size());
-  p.offset = 0;
-  args.push_back(Slot::fromPtr(p));
-  args.insert(args.end(), w.extraArgs.begin(), w.extraArgs.end());
-
-  Vm vm(*program, regions);
   const int k = program->findKernel(w.kernel);
   if (k < 0) {
     std::fprintf(stderr, "no kernel '%s'\n", w.kernel);
     std::exit(1);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  if (cfg.batch) {
-    for (std::int64_t gid = 0; gid < w.items;) {
-      const std::int64_t lanes = std::min<std::int64_t>(w.items - gid, Vm::kBatchLanes);
-      vm.runKernelBatch(k, args, gid, lanes, w.items);
-      gid += lanes;
+
+  // Buffers are bound once; inputs are never written, and `out` is reset
+  // before every repetition.
+  std::vector<std::vector<float>> buffers;
+  buffers.reserve(w.args.size());
+  std::vector<MemRegion> regions;
+  std::vector<Slot> args;
+  std::vector<float>* outBuf = nullptr;
+  for (const Arg& a : w.args) {
+    if (a.kind == Arg::Kind::Scalar) {
+      args.push_back(Slot::fromInt(a.value));
+      continue;
     }
-  } else {
-    for (std::int64_t gid = 0; gid < w.items; ++gid) {
-      vm.runKernel(k, args, gid, w.items);
+    const std::int64_t elems = a.kind == Arg::Kind::Out ? w.items : a.elems;
+    std::vector<float>& buf = buffers.emplace_back(static_cast<std::size_t>(elems));
+    const std::size_t b = buffers.size();
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = 0.25f * static_cast<float>((i * 7 + b) % 100 + 1);
+    }
+    if (a.kind == Arg::Kind::Out) outBuf = &buf;
+    regions.push_back(
+        MemRegion{reinterpret_cast<std::byte*>(buf.data()), buf.size() * sizeof(float)});
+    Ptr p;
+    p.region = static_cast<std::int32_t>(regions.size());
+    p.offset = 0;
+    args.push_back(Slot::fromPtr(p));
+  }
+
+  Leg leg;
+  for (int r = 0; r < reps; ++r) {
+    std::fill(outBuf->begin(), outBuf->end(), 0.0f);
+    Vm vm(*program, regions);
+    const auto t0 = std::chrono::steady_clock::now();
+    if (cfg.batch) {
+      for (std::int64_t gid = 0; gid < w.items;) {
+        const std::int64_t lanes = std::min<std::int64_t>(w.items - gid, Vm::kBatchLanes);
+        vm.runKernelBatch(k, args, gid, lanes, w.items);
+        gid += lanes;
+      }
+    } else {
+      for (std::int64_t gid = 0; gid < w.items; ++gid) {
+        vm.runKernel(k, args, gid, w.items);
+      }
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    leg.seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+    if (r == 0) {
+      leg.instructions = vm.instructionsExecuted();
+      leg.out = *outBuf;
+    } else if (vm.instructionsExecuted() != leg.instructions || *outBuf != leg.out) {
+      leg.stable = false;
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.instructions = vm.instructionsExecuted();
-  return r;
+  return leg;
 }
+
+/// Linear-interpolated quantile of `v` (0 <= q <= 1).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+double median(const std::vector<double>& v) { return quantile(v, 0.5); }
 
 constexpr Config kConfigs[] = {
     {"ref", false, false},
@@ -158,44 +220,53 @@ constexpr int kNumConfigs = static_cast<int>(sizeof(kConfigs) / sizeof(kConfigs[
 
 struct BenchOutcome {
   bool identical = true;
-  double speedupBatchOverFast = 0.0;
+  double speedupBatchOverFast = 0.0;  ///< ratio of median times
 };
 
-BenchOutcome benchWorkload(const Workload& w) {
-  RunResult results[kNumConfigs];
-  std::vector<float> outs[kNumConfigs];
-  for (int c = 0; c < kNumConfigs; ++c) {
-    results[c] = runWorkload(w, kConfigs[c], outs[c]);
-  }
+BenchOutcome benchWorkload(const Workload& w, int reps) {
+  Leg legs[kNumConfigs];
+  for (int c = 0; c < kNumConfigs; ++c) legs[c] = runLeg(w, kConfigs[c], reps);
 
   BenchOutcome outcome;
-  for (int c = 1; c < kNumConfigs; ++c) {
-    if (results[c].instructions != results[0].instructions) {
-      std::fprintf(stderr, "%s: retired-instruction mismatch: %s %llu vs ref %llu\n",
-                   w.name, kConfigs[c].name,
-                   static_cast<unsigned long long>(results[c].instructions),
-                   static_cast<unsigned long long>(results[0].instructions));
+  for (int c = 0; c < kNumConfigs; ++c) {
+    if (!legs[c].stable) {
+      std::fprintf(stderr, "%s: %s differs between repetitions\n", w.name, kConfigs[c].name);
       outcome.identical = false;
     }
-    if (std::memcmp(outs[c].data(), outs[0].data(), outs[0].size() * sizeof(float)) != 0) {
+    if (c == 0) continue;
+    if (legs[c].instructions != legs[0].instructions) {
+      std::fprintf(stderr, "%s: retired-instruction mismatch: %s %llu vs ref %llu\n",
+                   w.name, kConfigs[c].name,
+                   static_cast<unsigned long long>(legs[c].instructions),
+                   static_cast<unsigned long long>(legs[0].instructions));
+      outcome.identical = false;
+    }
+    if (std::memcmp(legs[c].out.data(), legs[0].out.data(),
+                    legs[0].out.size() * sizeof(float)) != 0) {
       std::fprintf(stderr, "%s: %s output is not bit-identical to ref\n", w.name,
                    kConfigs[c].name);
       outcome.identical = false;
     }
   }
 
-  std::printf("%-12s %12llu instr  ", w.name,
-              static_cast<unsigned long long>(results[0].instructions));
+  // Throughput quartiles are the instruction count over the time quartiles
+  // (the slowest quarter of runs gives the lower throughput quartile).
+  std::printf("%-12s %12llu instr ", w.name,
+              static_cast<unsigned long long>(legs[0].instructions));
   for (int c = 0; c < kNumConfigs; ++c) {
-    const double mips =
-        results[c].seconds > 0 ? results[c].instructions / results[c].seconds / 1e6 : 0.0;
-    std::printf(" %s %8.1f Mi/s", kConfigs[c].name, mips);
+    const auto mips = [&](double q) {
+      const double s = quantile(legs[c].seconds, q);
+      return s > 0 ? static_cast<double>(legs[c].instructions) / s / 1e6 : 0.0;
+    };
+    std::printf("  %s %8.1f Mi/s [%.1f-%.1f]", kConfigs[c].name, mips(0.5), mips(0.75),
+                mips(0.25));
   }
-  const double fastSec = results[1].seconds;
-  const double batchSec = results[2].seconds;
+  const double refSec = median(legs[0].seconds);
+  const double fastSec = median(legs[1].seconds);
+  const double batchSec = median(legs[2].seconds);
   outcome.speedupBatchOverFast = batchSec > 0 ? fastSec / batchSec : 0.0;
   std::printf("   batch/fast %.2fx  batch/ref %.2fx\n", outcome.speedupBatchOverFast,
-              batchSec > 0 ? results[0].seconds / batchSec : 0.0);
+              batchSec > 0 ? refSec / batchSec : 0.0);
   return outcome;
 }
 
@@ -205,9 +276,16 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool gate = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--gate") == 0) gate = true;
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--gate") == 0) {
+      gate = true;
+    } else {
+      std::fprintf(stderr, "usage: bench_vm [--smoke] [--gate]\n");
+      return 2;
+    }
   }
+  const int reps = smoke ? 2 : 5;
 
   const int width = smoke ? 32 : 512;
   const std::int64_t mandelItems = static_cast<std::int64_t>(width) * width;
@@ -215,32 +293,41 @@ int main(int argc, char** argv) {
   const std::int64_t osemItems = smoke ? 512 : 16384;
   const int osemSpan = smoke ? 64 : 512;
   const std::int64_t blurItems = smoke ? 1024 : 65536;
+  const std::int64_t mapItems = smoke ? 1024 : 65536;
+  const std::int64_t reduceItems = smoke ? 64 : 1024;
+  const std::int64_t reduceChunk = smoke ? 32 : 256;
 
-  const Workload mandel{"mandelbrot", kMandelSrc, "mandel", mandelItems,
-                        {Slot::fromInt(static_cast<std::int64_t>(width)),
-                         Slot::fromInt(static_cast<std::int64_t>(maxIter))},
-                        /*inputSizes=*/{}};
-  const Workload osem{"osem", kOsemSrc, "project", osemItems,
-                      {Slot::fromInt(osemItems),
-                       Slot::fromInt(static_cast<std::int64_t>(osemSpan))},
-                      /*inputSizes=*/{osemItems}};
-  // Input is halo-padded: taps reach up to gid + 4*512 past the last item.
-  const Workload blur{"blur", kBlurSrc, "blur", blurItems,
-                      {},
-                      /*inputSizes=*/{blurItems + 5 * 512, 5}};
+  const Workload workloads[] = {
+      {"mandelbrot", kMandelSrc, "mandel", mandelItems,
+       {out(), scalar(width), scalar(maxIter)}},
+      {"osem", kOsemSrc, "project", osemItems,
+       {in(osemItems), out(), scalar(osemItems), scalar(osemSpan)}},
+      // Input is halo-padded: taps reach up to gid + 4*512 past the last item.
+      {"blur", kBlurSrc, "blur", blurItems, {in(blurItems + 5 * 512), in(5), out()}},
+      {"skel_map", kSkelMapSrc, "skelcl_kernel", mapItems,
+       {in(mapItems), out(), scalar(mapItems), scalar(0), in(1)}},
+      {"skel_reduce", kSkelReduceSrc, "skelcl_reduce", reduceItems,
+       {in(reduceItems * reduceChunk), out(), scalar(reduceItems * reduceChunk),
+        scalar(reduceChunk)}},
+  };
 
-  const BenchOutcome m = benchWorkload(mandel);
-  const BenchOutcome o = benchWorkload(osem);
-  const BenchOutcome bl = benchWorkload(blur);
-  bool ok = m.identical && o.identical && bl.identical;
+  std::printf("bench_vm: median Mi/s [IQR] over %d repetitions per leg\n", reps);
+  bool ok = true;
+  double mandelSpeedup = 0.0;
+  double osemSpeedup = 0.0;
+  for (const Workload& w : workloads) {
+    const BenchOutcome o = benchWorkload(w, reps);
+    ok = ok && o.identical;
+    if (std::strcmp(w.name, "mandelbrot") == 0) mandelSpeedup = o.speedupBatchOverFast;
+    if (std::strcmp(w.name, "osem") == 0) osemSpeedup = o.speedupBatchOverFast;
+  }
   if (gate && !smoke) {
-    if (m.speedupBatchOverFast < 3.0) {
-      std::fprintf(stderr, "gate: mandelbrot batch/fast %.2fx < 3x\n",
-                   m.speedupBatchOverFast);
+    if (mandelSpeedup < 3.0) {
+      std::fprintf(stderr, "gate: mandelbrot median batch/fast %.2fx < 3x\n", mandelSpeedup);
       ok = false;
     }
-    if (o.speedupBatchOverFast < 3.0) {
-      std::fprintf(stderr, "gate: osem batch/fast %.2fx < 3x\n", o.speedupBatchOverFast);
+    if (osemSpeedup < 3.0) {
+      std::fprintf(stderr, "gate: osem median batch/fast %.2fx < 3x\n", osemSpeedup);
       ok = false;
     }
   }

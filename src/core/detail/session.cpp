@@ -147,6 +147,13 @@ std::shared_ptr<ocl::Program> SharedDeviceState::programForSource(const std::str
   return program;
 }
 
+std::vector<std::shared_ptr<ocl::Program>> SharedDeviceState::cachedPrograms() const {
+  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::vector<std::shared_ptr<ocl::Program>> programs;
+  for (const auto& entry : programCache_) programs.push_back(entry.second);
+  return programs;
+}
+
 std::shared_ptr<const kc::CompiledProgram> SharedDeviceState::hostProgram(
     const std::string& userSource) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);

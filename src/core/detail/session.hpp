@@ -101,6 +101,8 @@ class SharedDeviceState {
   /// once across *all* sessions (the paper excludes compilation from
   /// measurements for the same reason).
   std::shared_ptr<ocl::Program> programForSource(const std::string& source);
+  /// Every program programForSource has built and cached so far.
+  std::vector<std::shared_ptr<ocl::Program>> cachedPrograms() const;
 
   /// Compile (and cache) a user operation for host-side execution through
   /// the kernel VM (reduce fold, scan offsets, copy combining).

@@ -117,7 +117,7 @@ const char* opName(Op op);
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
 /// `weight` is the number of source (naive) instructions this one retires:
 /// 1 for everything the compiler emits, the window length for peephole
-/// superinstructions.
+/// superinstructions, 0 for the bookkeeping the inliner adds.
 struct Insn {
   Op op;
   std::int32_t a = 0;
@@ -125,6 +125,10 @@ struct Insn {
   std::int64_t imm = 0;
   double fimm = 0.0;
   std::uint8_t weight = 1;
+  /// Index of the function this instruction was inlined from (inline.cpp),
+  /// or -1 for the function's own code.  Read only to name the function in
+  /// a fault message.
+  std::int32_t origin = -1;
 };
 
 /// Execution encoding: 16 bytes per instruction (vs 32 for Insn), halving
@@ -157,7 +161,8 @@ struct FunctionCode {
   std::vector<PackedInsn> packed;   ///< compact dispatch form of `code`
   std::vector<std::uint64_t> pool;  ///< constant pool referenced by `packed`
   /// True when the kernel can run on the work-group-batched interpreter
-  /// (Vm::runKernelBatch): no calls into other functions, no frame memory,
+  /// (Vm::runKernelBatch): no calls into other functions (inline.cpp removes
+  /// the calls to small user functions first), no frame memory,
   /// and no builtins whose cross-item ordering is observable (atomics,
   /// barrier).  Computed by the encoder.
   bool batchable = false;

@@ -200,7 +200,7 @@ std::string disassemble(const FunctionCode& fn) {
       default:
         break;
     }
-    if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
+    if (insn.weight != 1) os << "  ;w=" << static_cast<int>(insn.weight);
     os << "\n";
   }
   return os.str();
@@ -279,7 +279,7 @@ std::string disassemblePacked(const FunctionCode& fn) {
       default:
         break;
     }
-    if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
+    if (insn.weight != 1) os << "  ;w=" << static_cast<int>(insn.weight);
     os << "\n";
   }
   return os.str();

@@ -97,37 +97,13 @@ Effect effectOf(const Insn& insn, const std::vector<FunctionCode>& fns) {
   return e;
 }
 
-/// Forward dataflow over the (reducible, compiler-generated) CFG: the stack
-/// height at each pc is unique; maxStack is the highest transient peak.
 int computeMaxStack(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
-  const std::size_t n = fn.code.size();
-  std::vector<int> height(n, -1);
-  std::vector<std::size_t> work;
+  const std::vector<int> height = computeStackHeights(fn, fns);
   int maxPeak = 0;
-  if (n == 0) return 0;
-  height[0] = 0;
-  work.push_back(0);
-  auto propagate = [&](std::size_t pc, int h) {
-    SKELCL_CHECK(pc < n, "control flow runs off the end of the function");
-    if (height[pc] < 0) {
-      height[pc] = h;
-      work.push_back(pc);
-    } else {
-      SKELCL_CHECK(height[pc] == h, "inconsistent stack height in '" + fn.name + "'");
-    }
-  };
-  while (!work.empty()) {
-    const std::size_t pc = work.back();
-    work.pop_back();
-    const Insn& insn = fn.code[pc];
-    const int h = height[pc];
-    const Effect e = effectOf(insn, fns);
-    if (h + e.peak > maxPeak) maxPeak = h + e.peak;
-    const int after = h + e.delta;
-    SKELCL_CHECK(after >= 0, "stack underflow in '" + fn.name + "'");
-    if (e.terminal) continue;
-    if (e.jumps) propagate(static_cast<std::size_t>(insn.a), after);
-    if (e.falls) propagate(pc + 1, after);
+  for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+    if (height[pc] < 0) continue;
+    const int peak = height[pc] + effectOf(fn.code[pc], fns).peak;
+    if (peak > maxPeak) maxPeak = peak;
   }
   return maxPeak;
 }
@@ -217,6 +193,39 @@ bool computeBatchable(const FunctionCode& fn) {
 }
 
 }  // namespace
+
+/// Forward dataflow over the (reducible, compiler-generated) CFG: the stack
+/// height at each pc is unique.
+std::vector<int> computeStackHeights(const FunctionCode& fn,
+                                     const std::vector<FunctionCode>& fns) {
+  const std::size_t n = fn.code.size();
+  std::vector<int> height(n, -1);
+  if (n == 0) return height;
+  std::vector<std::size_t> work;
+  height[0] = 0;
+  work.push_back(0);
+  auto propagate = [&](std::size_t pc, int h) {
+    SKELCL_CHECK(pc < n, "control flow runs off the end of the function");
+    if (height[pc] < 0) {
+      height[pc] = h;
+      work.push_back(pc);
+    } else {
+      SKELCL_CHECK(height[pc] == h, "inconsistent stack height in '" + fn.name + "'");
+    }
+  };
+  while (!work.empty()) {
+    const std::size_t pc = work.back();
+    work.pop_back();
+    const Insn& insn = fn.code[pc];
+    const Effect e = effectOf(insn, fns);
+    const int after = height[pc] + e.delta;
+    SKELCL_CHECK(after >= 0, "stack underflow in '" + fn.name + "'");
+    if (e.terminal) continue;
+    if (e.jumps) propagate(static_cast<std::size_t>(insn.a), after);
+    if (e.falls) propagate(pc + 1, after);
+  }
+  return height;
+}
 
 void finalizeFunctions(std::vector<FunctionCode>& fns) {
   for (FunctionCode& fn : fns) {

@@ -16,4 +16,11 @@ namespace skelcl::kc {
 /// whole program must be compiled first.
 void finalizeFunctions(std::vector<FunctionCode>& fns);
 
+/// Operand-stack height before each instruction of `fn.code` (-1 where
+/// unreachable).  Throws if control flow reaches a pc with two different
+/// heights, underflows, or runs off the end.  CallFn effects are resolved
+/// against `fns`.
+std::vector<int> computeStackHeights(const FunctionCode& fn,
+                                     const std::vector<FunctionCode>& fns);
+
 }  // namespace skelcl::kc

@@ -198,6 +198,10 @@ void peepholeOptimize(FunctionCode& fn) {
     } else {
       out.push_back(code[i]);
     }
+    // No window joins a faulting instruction with one from another function
+    // (an inlined body starts with argument stores and ends in a jump), so
+    // the first member's origin names the function of any fault.
+    out.back().origin = code[i].origin;
     i += consumed;
   }
   newIndexOf[n] = static_cast<std::int32_t>(out.size());

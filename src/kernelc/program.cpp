@@ -5,6 +5,7 @@
 
 #include "kernelc/compiler.hpp"
 #include "kernelc/encode.hpp"
+#include "kernelc/inline.hpp"
 #include "kernelc/lexer.hpp"
 #include "kernelc/parser.hpp"
 #include "kernelc/peephole.hpp"
@@ -44,6 +45,7 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   program->complexity = complexity;
   program->source = source;
   if (options.optimize) {
+    inlineCalls(program->functions);
     for (FunctionCode& fn : program->functions) peepholeOptimize(fn);
     finalizeFunctions(program->functions);
     program->optimized = true;

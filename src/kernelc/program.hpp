@@ -12,10 +12,10 @@ namespace skelcl::kc {
 struct CompileOptions {
   /// false — reference: naive Insn stream on the guarded reference
   ///         interpreter.  The differential-testing oracle.
-  /// true  — optimized: peephole superinstructions + packed 16-byte encoding,
-  ///         run on the work-group-batched interpreter where
-  ///         FunctionCode::batchable allows and on the fast interpreter
-  ///         otherwise.
+  /// true  — optimized: inlined user functions + peephole superinstructions
+  ///         + packed 16-byte encoding, run on the work-group-batched
+  ///         interpreter where FunctionCode::batchable allows and on the
+  ///         fast interpreter otherwise.
   /// Both produce bit-identical outputs and identical retired-instruction
   /// counts; the optimized pipeline only runs faster.
   bool optimize = true;

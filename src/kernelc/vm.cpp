@@ -27,7 +27,7 @@ int CompiledProgram::findFunction(const std::string& name) const {
 }
 
 Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
-    : program_(program) {
+    : program_(program), builtins_(builtinTable().data()) {
   regions_.push_back(MemRegion{});  // region 0: null
   for (const auto& r : globalRegions) regions_.push_back(r);
   frameArena_.resize(kFrameArenaBytes);
@@ -41,11 +41,19 @@ Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
 }
 
 void Vm::fault(const std::string& message) const {
+  faultMessage_ = message;
   std::string where = currentFunction_ >= 0
                           ? program_.functions[static_cast<std::size_t>(currentFunction_)].name
                           : "<none>";
   throw VmError("device fault in '" + where + "' (work-item " +
                 std::to_string(globalId_) + "): " + message);
+}
+
+void Vm::attributeInlinedFault(const FunctionCode& fn, std::size_t pc) {
+  const std::int32_t origin = pc < fn.code.size() ? fn.code[pc].origin : -1;
+  if (origin < 0) return;
+  currentFunction_ = origin;
+  fault(faultMessage_);
 }
 
 void* Vm::resolve(Ptr p, std::uint32_t bytes) {
@@ -206,525 +214,530 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
     if (instructions_ > budget) fault("instruction budget exceeded (infinite loop?)");
   };
 
-  for (;;) {
-    const PackedInsn insn = *ip++;
-    instructions_ += insn.weight;
+  try {
+    for (;;) {
+      const PackedInsn insn = *ip++;
+      instructions_ += insn.weight;
 
-    switch (insn.op) {
-      case Op::PushI: *sp++ = Slot::fromInt(insn.a); break;
-      case Op::PushCI:
-        *sp++ = Slot::fromInt(static_cast<std::int64_t>(pool[insn.k]));
-        break;
-      case Op::PushCF: {
-        double v;
-        std::memcpy(&v, &pool[insn.k], sizeof v);
-        *sp++ = Slot::fromFloat(v);
-        break;
-      }
-      case Op::PushF:
-        fault("unpacked float immediate in packed code");
-        break;
-
-      case Op::LoadSlot: *sp++ = slots[insn.a]; break;
-      case Op::StoreSlot: slots[insn.a] = *--sp; break;
-
-      case Op::LeaFrame: {
-        Ptr p;
-        p.region = static_cast<std::int32_t>(frameRegionId);
-        p.offset = static_cast<std::uint32_t>(insn.a);
-        *sp++ = Slot::fromPtr(p);
-        break;
-      }
-
-      case Op::LoadI32: {
-        const void* addr = resolve(sp[-1].p, 4);
-        std::int32_t v;
-        std::memcpy(&v, addr, 4);
-        sp[-1] = Slot::fromInt(v);
-        break;
-      }
-      case Op::LoadU32: {
-        const void* addr = resolve(sp[-1].p, 4);
-        std::uint32_t v;
-        std::memcpy(&v, addr, 4);
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
-        break;
-      }
-      case Op::LoadF32: {
-        const void* addr = resolve(sp[-1].p, 4);
-        float v;
-        std::memcpy(&v, addr, 4);
-        sp[-1] = Slot::fromFloat(v);
-        break;
-      }
-      case Op::LoadF64: {
-        const void* addr = resolve(sp[-1].p, 8);
-        double v;
-        std::memcpy(&v, addr, 8);
-        sp[-1] = Slot::fromFloat(v);
-        break;
-      }
-      case Op::LoadI64: {
-        const void* addr = resolve(sp[-1].p, 8);
-        std::int64_t v;
-        std::memcpy(&v, addr, 8);
-        sp[-1] = Slot::fromInt(v);
-        break;
-      }
-      case Op::StoreI32: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 4);
-        const auto v = static_cast<std::int32_t>(value.i);
-        std::memcpy(addr, &v, 4);
-        break;
-      }
-      case Op::StoreI64: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 8);
-        std::memcpy(addr, &value.i, 8);
-        break;
-      }
-      case Op::StoreF32: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 4);
-        const auto v = static_cast<float>(value.f);
-        std::memcpy(addr, &v, 4);
-        break;
-      }
-      case Op::StoreF64: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 8);
-        std::memcpy(addr, &value.f, 8);
-        break;
-      }
-      case Op::MemCopy: {
-        const Ptr src = (*--sp).p;
-        const Ptr dst = (*--sp).p;
-        const auto bytes = static_cast<std::uint32_t>(insn.a);
-        void* d = resolve(dst, bytes);
-        const void* s = resolve(src, bytes);
-        std::memmove(d, s, bytes);
-        break;
-      }
-      case Op::PtrAdd: {
-        const std::int64_t index = (*--sp).i;
-        sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, index, insn.a));
-        break;
-      }
-
-      // --- superinstructions ------------------------------------------------
-      case Op::PtrAddImm:
-        sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, insn.b, insn.a));
-        break;
-
-#define SKELCL_LOAD_ELEM(OPNAME, CTYPE, BYTES, MAKE)                         \
-  case Op::LoadElem##OPNAME: {                                               \
-    const std::int64_t index = (*--sp).i;                                    \
-    const void* addr = resolve(ptrPlus(sp[-1].p, index, insn.a), BYTES);     \
-    CTYPE v;                                                                 \
-    std::memcpy(&v, addr, BYTES);                                            \
-    sp[-1] = Slot::MAKE(v);                                                  \
-    break;                                                                   \
-  }                                                                          \
-  case Op::LoadSlotElem##OPNAME: {                                           \
-    const void* addr =                                                       \
-        resolve(ptrPlus(slots[insn.a].p, slots[insn.b].i, insn.c), BYTES);   \
-    CTYPE v;                                                                 \
-    std::memcpy(&v, addr, BYTES);                                            \
-    *sp++ = Slot::MAKE(v);                                                   \
-    break;                                                                   \
-  }
-      SKELCL_LOAD_ELEM(I32, std::int32_t, 4, fromInt)
-      SKELCL_LOAD_ELEM(U32, std::uint32_t, 4, fromInt)
-      SKELCL_LOAD_ELEM(F32, float, 4, fromFloat)
-      SKELCL_LOAD_ELEM(F64, double, 8, fromFloat)
-      SKELCL_LOAD_ELEM(I64, std::int64_t, 8, fromInt)
-#undef SKELCL_LOAD_ELEM
-
-      case Op::TeeStoreI32: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 4);
-        const auto v = static_cast<std::int32_t>(value.i);
-        std::memcpy(addr, &v, 4);
-        slots[insn.a] = value;
-        break;
-      }
-      case Op::TeeStoreI64: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 8);
-        std::memcpy(addr, &value.i, 8);
-        slots[insn.a] = value;
-        break;
-      }
-      case Op::TeeStoreF32: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 4);
-        const auto v = static_cast<float>(value.f);
-        std::memcpy(addr, &v, 4);
-        slots[insn.a] = value;
-        break;
-      }
-      case Op::TeeStoreF64: {
-        const Slot value = *--sp;
-        void* addr = resolve((*--sp).p, 8);
-        std::memcpy(addr, &value.f, 8);
-        slots[insn.a] = value;
-        break;
-      }
-
-      case Op::IncSlotI:
-        slots[insn.a].i = static_cast<std::int32_t>(slots[insn.a].i + insn.b);
-        break;
-
-      case Op::LoadSlot2:
-        sp[0] = slots[insn.a];
-        sp[1] = slots[insn.b];
-        sp += 2;
-        break;
-
-      case Op::CmpJz: {
-        const Slot b = *--sp;
-        const Slot a = *--sp;
-        if (!cmpHolds(static_cast<Op>(insn.c), a, b)) {
-          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-          ip = codeBase + insn.a;
+      switch (insn.op) {
+        case Op::PushI: *sp++ = Slot::fromInt(insn.a); break;
+        case Op::PushCI:
+          *sp++ = Slot::fromInt(static_cast<std::int64_t>(pool[insn.k]));
+          break;
+        case Op::PushCF: {
+          double v;
+          std::memcpy(&v, &pool[insn.k], sizeof v);
+          *sp++ = Slot::fromFloat(v);
+          break;
         }
-        break;
-      }
-      case Op::CmpJnz: {
-        const Slot b = *--sp;
-        const Slot a = *--sp;
-        if (cmpHolds(static_cast<Op>(insn.c), a, b)) {
-          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-          ip = codeBase + insn.a;
+        case Op::PushF:
+          fault("unpacked float immediate in packed code");
+          break;
+
+        case Op::LoadSlot: *sp++ = slots[insn.a]; break;
+        case Op::StoreSlot: slots[insn.a] = *--sp; break;
+
+        case Op::LeaFrame: {
+          Ptr p;
+          p.region = static_cast<std::int32_t>(frameRegionId);
+          p.offset = static_cast<std::uint32_t>(insn.a);
+          *sp++ = Slot::fromPtr(p);
+          break;
         }
-        break;
-      }
-      // --- end superinstructions --------------------------------------------
 
-#define SKELCL_BIN_I(OPNAME, EXPR)                                         \
-  case Op::OPNAME: {                                                       \
-    const std::int64_t b = (*--sp).i;                                      \
-    const std::int64_t a = sp[-1].i;                                       \
-    (void)a;                                                               \
-    (void)b;                                                               \
-    sp[-1] = Slot::fromInt(static_cast<std::int32_t>(EXPR));               \
-    break;                                                                 \
-  }
-      SKELCL_BIN_I(AddI, a + b)
-      SKELCL_BIN_I(SubI, a - b)
-      SKELCL_BIN_I(MulI, a * b)
-      SKELCL_BIN_I(AndI, a & b)
-      SKELCL_BIN_I(OrI, a | b)
-      SKELCL_BIN_I(XorI, a ^ b)
-      SKELCL_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
-                                                   << (static_cast<std::uint32_t>(b) & 31u)))
-      SKELCL_BIN_I(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-      SKELCL_BIN_I(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-#undef SKELCL_BIN_I
-
-      case Op::DivI: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a / b));
-        break;
-      }
-      case Op::RemI: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a % b));
-        break;
-      }
-      case Op::DivU: {
-        const auto b = static_cast<std::uint32_t>((*--sp).i);
-        const auto a = static_cast<std::uint32_t>(sp[-1].i);
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
-        break;
-      }
-      case Op::RemU: {
-        const auto b = static_cast<std::uint32_t>((*--sp).i);
-        const auto a = static_cast<std::uint32_t>(sp[-1].i);
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
-        break;
-      }
-      case Op::NegI:
-        sp[-1].i = static_cast<std::int32_t>(-sp[-1].i);
-        break;
-      case Op::NotI:
-        sp[-1].i = static_cast<std::int32_t>(~sp[-1].i);
-        break;
-
-#define SKELCL_BIN_L(OPNAME, EXPR)                                         \
-  case Op::OPNAME: {                                                       \
-    const std::int64_t b = (*--sp).i;                                      \
-    const std::int64_t a = sp[-1].i;                                       \
-    (void)a;                                                               \
-    (void)b;                                                               \
-    sp[-1] = Slot::fromInt(static_cast<std::int64_t>(EXPR));               \
-    break;                                                                 \
-  }
-      SKELCL_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(AndL, a & b)
-      SKELCL_BIN_L(OrL, a | b)
-      SKELCL_BIN_L(XorL, a ^ b)
-      SKELCL_BIN_L(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
-      SKELCL_BIN_L(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
-      SKELCL_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
-#undef SKELCL_BIN_L
-
-      case Op::DivL: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer division by zero");
-        if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-          sp[-1] = Slot::fromInt(a);  // wrap, matching 2's-complement overflow
-        } else {
-          sp[-1] = Slot::fromInt(a / b);
+        case Op::LoadI32: {
+          const void* addr = resolve(sp[-1].p, 4);
+          std::int32_t v;
+          std::memcpy(&v, addr, 4);
+          sp[-1] = Slot::fromInt(v);
+          break;
         }
-        break;
-      }
-      case Op::RemL: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer remainder by zero");
-        if (b == -1) {
-          sp[-1] = Slot::fromInt(std::int64_t{0});
-        } else {
-          sp[-1] = Slot::fromInt(a % b);
+        case Op::LoadU32: {
+          const void* addr = resolve(sp[-1].p, 4);
+          std::uint32_t v;
+          std::memcpy(&v, addr, 4);
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
+          break;
         }
-        break;
-      }
-      case Op::DivUL: {
-        const auto b = static_cast<std::uint64_t>((*--sp).i);
-        const auto a = static_cast<std::uint64_t>(sp[-1].i);
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
-        break;
-      }
-      case Op::RemUL: {
-        const auto b = static_cast<std::uint64_t>((*--sp).i);
-        const auto a = static_cast<std::uint64_t>(sp[-1].i);
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
-        break;
-      }
-      case Op::NegL:
-        sp[-1].i = static_cast<std::int64_t>(-static_cast<std::uint64_t>(sp[-1].i));
-        break;
-      case Op::NotL:
-        sp[-1].i = ~sp[-1].i;
-        break;
-
-#define SKELCL_BIN_F32(OPNAME, OPERATOR)                                            \
-  case Op::OPNAME: {                                                                \
-    const double b = (*--sp).f;                                                     \
-    const double a = sp[-1].f;                                                      \
-    sp[-1] = Slot::fromFloat(static_cast<float>(static_cast<float>(a)               \
-                                                    OPERATOR static_cast<float>(b))); \
-    break;                                                                          \
-  }
-      SKELCL_BIN_F32(AddF32, +)
-      SKELCL_BIN_F32(SubF32, -)
-      SKELCL_BIN_F32(MulF32, *)
-      SKELCL_BIN_F32(DivF32, /)
-#undef SKELCL_BIN_F32
-
-#define SKELCL_BIN_F64(OPNAME, OPERATOR)       \
-  case Op::OPNAME: {                           \
-    const double b = (*--sp).f;                \
-    const double a = sp[-1].f;                 \
-    sp[-1] = Slot::fromFloat(a OPERATOR b);    \
-    break;                                     \
-  }
-      SKELCL_BIN_F64(AddF64, +)
-      SKELCL_BIN_F64(SubF64, -)
-      SKELCL_BIN_F64(MulF64, *)
-      SKELCL_BIN_F64(DivF64, /)
-#undef SKELCL_BIN_F64
-
-      case Op::NegF32:
-        sp[-1].f = -static_cast<float>(sp[-1].f);
-        break;
-      case Op::NegF64:
-        sp[-1].f = -sp[-1].f;
-        break;
-
-#define SKELCL_CMP(OPNAME, TYPE, FIELD, OPERATOR)                  \
-  case Op::OPNAME: {                                               \
-    const auto b = static_cast<TYPE>((*--sp).FIELD);               \
-    const auto a = static_cast<TYPE>(sp[-1].FIELD);                \
-    sp[-1] = Slot::fromInt((a OPERATOR b) ? 1 : 0);                \
-    break;                                                         \
-  }
-      SKELCL_CMP(EqI, std::int64_t, i, ==)
-      SKELCL_CMP(NeI, std::int64_t, i, !=)
-      SKELCL_CMP(LtI, std::int64_t, i, <)
-      SKELCL_CMP(LeI, std::int64_t, i, <=)
-      SKELCL_CMP(GtI, std::int64_t, i, >)
-      SKELCL_CMP(GeI, std::int64_t, i, >=)
-      SKELCL_CMP(LtU, std::uint32_t, i, <)
-      SKELCL_CMP(LeU, std::uint32_t, i, <=)
-      SKELCL_CMP(GtU, std::uint32_t, i, >)
-      SKELCL_CMP(GeU, std::uint32_t, i, >=)
-      SKELCL_CMP(LtUL, std::uint64_t, i, <)
-      SKELCL_CMP(LeUL, std::uint64_t, i, <=)
-      SKELCL_CMP(GtUL, std::uint64_t, i, >)
-      SKELCL_CMP(GeUL, std::uint64_t, i, >=)
-      SKELCL_CMP(EqF, double, f, ==)
-      SKELCL_CMP(NeF, double, f, !=)
-      SKELCL_CMP(LtF, double, f, <)
-      SKELCL_CMP(LeF, double, f, <=)
-      SKELCL_CMP(GtF, double, f, >)
-      SKELCL_CMP(GeF, double, f, >=)
-#undef SKELCL_CMP
-
-      case Op::EqP: {
-        const Ptr b = (*--sp).p;
-        const Ptr a = sp[-1].p;
-        sp[-1] = Slot::fromInt((a.region == b.region && a.offset == b.offset) ? 1 : 0);
-        break;
-      }
-      case Op::NeP: {
-        const Ptr b = (*--sp).p;
-        const Ptr a = sp[-1].p;
-        sp[-1] = Slot::fromInt((a.region != b.region || a.offset != b.offset) ? 1 : 0);
-        break;
-      }
-      case Op::LNot:
-        sp[-1].i = sp[-1].i == 0 ? 1 : 0;
-        break;
-
-      case Op::I2F32:
-        sp[-1] = Slot::fromFloat(
-            static_cast<float>(static_cast<std::int64_t>(sp[-1].i)));
-        break;
-      case Op::I2F64:
-        sp[-1] = Slot::fromFloat(static_cast<double>(sp[-1].i));
-        break;
-      case Op::U2F32:
-        sp[-1] = Slot::fromFloat(
-            static_cast<float>(static_cast<std::uint32_t>(sp[-1].i)));
-        break;
-      case Op::U2F64:
-        sp[-1] = Slot::fromFloat(
-            static_cast<double>(static_cast<std::uint32_t>(sp[-1].i)));
-        break;
-      case Op::UL2F32:
-        sp[-1] = Slot::fromFloat(
-            static_cast<float>(static_cast<std::uint64_t>(sp[-1].i)));
-        break;
-      case Op::UL2F64:
-        sp[-1] = Slot::fromFloat(
-            static_cast<double>(static_cast<std::uint64_t>(sp[-1].i)));
-        break;
-      case Op::F2I: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(v));
-        break;
-      }
-      case Op::F2L: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
-        break;
-      }
-      case Op::F2UL: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
-        break;
-      }
-      case Op::F2U: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(v)));
-        break;
-      }
-      case Op::F64toF32:
-        sp[-1].f = static_cast<float>(sp[-1].f);
-        break;
-      case Op::I2U:
-        sp[-1].i = static_cast<std::int64_t>(static_cast<std::uint32_t>(sp[-1].i));
-        break;
-      case Op::U2I:
-        sp[-1].i = static_cast<std::int32_t>(static_cast<std::uint32_t>(sp[-1].i));
-        break;
-      case Op::BoolNorm:
-        sp[-1].i = sp[-1].i != 0 ? 1 : 0;
-        break;
-
-      case Op::Jmp:
-        if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-        ip = codeBase + insn.a;
-        break;
-      case Op::Jz:
-        if ((*--sp).i == 0) {
-          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-          ip = codeBase + insn.a;
+        case Op::LoadF32: {
+          const void* addr = resolve(sp[-1].p, 4);
+          float v;
+          std::memcpy(&v, addr, 4);
+          sp[-1] = Slot::fromFloat(v);
+          break;
         }
-        break;
-      case Op::Jnz:
-        if ((*--sp).i != 0) {
-          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-          ip = codeBase + insn.a;
+        case Op::LoadF64: {
+          const void* addr = resolve(sp[-1].p, 8);
+          double v;
+          std::memcpy(&v, addr, 8);
+          sp[-1] = Slot::fromFloat(v);
+          break;
         }
-        break;
-
-      case Op::CallFn: {
-        checkBudget();
-        const auto& callee = program_.functions[static_cast<std::size_t>(insn.a)];
-        const std::size_t argc = callee.paramTypes.size();
-        const bool hasResult = callee.returnType != types::Void;
-        sp_ = sp;
-        // The callee pushes its result (if any) at `sp`, above the args; move
-        // it down over the consumed arguments.
-        executeFast(insn.a, std::span<const Slot>(sp - argc, argc), hasResult);
-        if (hasResult) {
-          const Slot result = sp[0];
-          sp -= argc;
-          *sp++ = result;
-        } else {
-          sp -= argc;
+        case Op::LoadI64: {
+          const void* addr = resolve(sp[-1].p, 8);
+          std::int64_t v;
+          std::memcpy(&v, addr, 8);
+          sp[-1] = Slot::fromInt(v);
+          break;
         }
-        break;
-      }
-      case Op::CallBuiltin: {
-        checkBudget();
-        const BuiltinDef& def = builtinTable()[static_cast<std::size_t>(insn.a)];
-        const std::size_t argc = static_cast<std::size_t>(insn.b);
-        sp -= argc;
-        const Slot result = def.fn(*this, sp);
-        if (def.ret != BType::Void) *sp++ = result;
-        break;
-      }
+        case Op::StoreI32: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 4);
+          const auto v = static_cast<std::int32_t>(value.i);
+          std::memcpy(addr, &v, 4);
+          break;
+        }
+        case Op::StoreI64: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 8);
+          std::memcpy(addr, &value.i, 8);
+          break;
+        }
+        case Op::StoreF32: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 4);
+          const auto v = static_cast<float>(value.f);
+          std::memcpy(addr, &v, 4);
+          break;
+        }
+        case Op::StoreF64: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 8);
+          std::memcpy(addr, &value.f, 8);
+          break;
+        }
+        case Op::MemCopy: {
+          const Ptr src = (*--sp).p;
+          const Ptr dst = (*--sp).p;
+          const auto bytes = static_cast<std::uint32_t>(insn.a);
+          void* d = resolve(dst, bytes);
+          const void* s = resolve(src, bytes);
+          std::memmove(d, s, bytes);
+          break;
+        }
+        case Op::PtrAdd: {
+          const std::int64_t index = (*--sp).i;
+          sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, index, insn.a));
+          break;
+        }
 
-      case Op::Ret: {
-        const Slot result = *--sp;
-        sp = base;
-        if (expectResult) *sp++ = result;
-        sp_ = sp;
-        currentFunction_ = savedFunction;
-        return;
-      }
-      case Op::RetVoid:
-        sp_ = base;
-        currentFunction_ = savedFunction;
-        return;
+        // --- superinstructions ------------------------------------------------
+        case Op::PtrAddImm:
+          sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, insn.b, insn.a));
+          break;
 
-      case Op::Dup:
-        sp[0] = sp[-1];
-        ++sp;
-        break;
-      case Op::Drop:
-        --sp;
-        break;
-
-      case Op::Trap:
-        fault("non-void function reached the end without returning a value");
+  #define SKELCL_LOAD_ELEM(OPNAME, CTYPE, BYTES, MAKE)                         \
+    case Op::LoadElem##OPNAME: {                                               \
+      const std::int64_t index = (*--sp).i;                                    \
+      const void* addr = resolve(ptrPlus(sp[-1].p, index, insn.a), BYTES);     \
+      CTYPE v;                                                                 \
+      std::memcpy(&v, addr, BYTES);                                            \
+      sp[-1] = Slot::MAKE(v);                                                  \
+      break;                                                                   \
+    }                                                                          \
+    case Op::LoadSlotElem##OPNAME: {                                           \
+      const void* addr =                                                       \
+          resolve(ptrPlus(slots[insn.a].p, slots[insn.b].i, insn.c), BYTES);   \
+      CTYPE v;                                                                 \
+      std::memcpy(&v, addr, BYTES);                                            \
+      *sp++ = Slot::MAKE(v);                                                   \
+      break;                                                                   \
     }
+        SKELCL_LOAD_ELEM(I32, std::int32_t, 4, fromInt)
+        SKELCL_LOAD_ELEM(U32, std::uint32_t, 4, fromInt)
+        SKELCL_LOAD_ELEM(F32, float, 4, fromFloat)
+        SKELCL_LOAD_ELEM(F64, double, 8, fromFloat)
+        SKELCL_LOAD_ELEM(I64, std::int64_t, 8, fromInt)
+  #undef SKELCL_LOAD_ELEM
+
+        case Op::TeeStoreI32: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 4);
+          const auto v = static_cast<std::int32_t>(value.i);
+          std::memcpy(addr, &v, 4);
+          slots[insn.a] = value;
+          break;
+        }
+        case Op::TeeStoreI64: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 8);
+          std::memcpy(addr, &value.i, 8);
+          slots[insn.a] = value;
+          break;
+        }
+        case Op::TeeStoreF32: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 4);
+          const auto v = static_cast<float>(value.f);
+          std::memcpy(addr, &v, 4);
+          slots[insn.a] = value;
+          break;
+        }
+        case Op::TeeStoreF64: {
+          const Slot value = *--sp;
+          void* addr = resolve((*--sp).p, 8);
+          std::memcpy(addr, &value.f, 8);
+          slots[insn.a] = value;
+          break;
+        }
+
+        case Op::IncSlotI:
+          slots[insn.a].i = static_cast<std::int32_t>(slots[insn.a].i + insn.b);
+          break;
+
+        case Op::LoadSlot2:
+          sp[0] = slots[insn.a];
+          sp[1] = slots[insn.b];
+          sp += 2;
+          break;
+
+        case Op::CmpJz: {
+          const Slot b = *--sp;
+          const Slot a = *--sp;
+          if (!cmpHolds(static_cast<Op>(insn.c), a, b)) {
+            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+            ip = codeBase + insn.a;
+          }
+          break;
+        }
+        case Op::CmpJnz: {
+          const Slot b = *--sp;
+          const Slot a = *--sp;
+          if (cmpHolds(static_cast<Op>(insn.c), a, b)) {
+            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+            ip = codeBase + insn.a;
+          }
+          break;
+        }
+        // --- end superinstructions --------------------------------------------
+
+  #define SKELCL_BIN_I(OPNAME, EXPR)                                         \
+    case Op::OPNAME: {                                                       \
+      const std::int64_t b = (*--sp).i;                                      \
+      const std::int64_t a = sp[-1].i;                                       \
+      (void)a;                                                               \
+      (void)b;                                                               \
+      sp[-1] = Slot::fromInt(static_cast<std::int32_t>(EXPR));               \
+      break;                                                                 \
+    }
+        SKELCL_BIN_I(AddI, a + b)
+        SKELCL_BIN_I(SubI, a - b)
+        SKELCL_BIN_I(MulI, a * b)
+        SKELCL_BIN_I(AndI, a & b)
+        SKELCL_BIN_I(OrI, a | b)
+        SKELCL_BIN_I(XorI, a ^ b)
+        SKELCL_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
+                                                     << (static_cast<std::uint32_t>(b) & 31u)))
+        SKELCL_BIN_I(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
+        SKELCL_BIN_I(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
+  #undef SKELCL_BIN_I
+
+        case Op::DivI: {
+          const std::int64_t b = (*--sp).i;
+          const std::int64_t a = sp[-1].i;
+          if (b == 0) fault("integer division by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a / b));
+          break;
+        }
+        case Op::RemI: {
+          const std::int64_t b = (*--sp).i;
+          const std::int64_t a = sp[-1].i;
+          if (b == 0) fault("integer remainder by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a % b));
+          break;
+        }
+        case Op::DivU: {
+          const auto b = static_cast<std::uint32_t>((*--sp).i);
+          const auto a = static_cast<std::uint32_t>(sp[-1].i);
+          if (b == 0) fault("integer division by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
+          break;
+        }
+        case Op::RemU: {
+          const auto b = static_cast<std::uint32_t>((*--sp).i);
+          const auto a = static_cast<std::uint32_t>(sp[-1].i);
+          if (b == 0) fault("integer remainder by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
+          break;
+        }
+        case Op::NegI:
+          sp[-1].i = static_cast<std::int32_t>(-sp[-1].i);
+          break;
+        case Op::NotI:
+          sp[-1].i = static_cast<std::int32_t>(~sp[-1].i);
+          break;
+
+  #define SKELCL_BIN_L(OPNAME, EXPR)                                         \
+    case Op::OPNAME: {                                                       \
+      const std::int64_t b = (*--sp).i;                                      \
+      const std::int64_t a = sp[-1].i;                                       \
+      (void)a;                                                               \
+      (void)b;                                                               \
+      sp[-1] = Slot::fromInt(static_cast<std::int64_t>(EXPR));               \
+      break;                                                                 \
+    }
+        SKELCL_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
+        SKELCL_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
+        SKELCL_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
+        SKELCL_BIN_L(AndL, a & b)
+        SKELCL_BIN_L(OrL, a | b)
+        SKELCL_BIN_L(XorL, a ^ b)
+        SKELCL_BIN_L(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
+        SKELCL_BIN_L(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
+        SKELCL_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
+  #undef SKELCL_BIN_L
+
+        case Op::DivL: {
+          const std::int64_t b = (*--sp).i;
+          const std::int64_t a = sp[-1].i;
+          if (b == 0) fault("integer division by zero");
+          if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+            sp[-1] = Slot::fromInt(a);  // wrap, matching 2's-complement overflow
+          } else {
+            sp[-1] = Slot::fromInt(a / b);
+          }
+          break;
+        }
+        case Op::RemL: {
+          const std::int64_t b = (*--sp).i;
+          const std::int64_t a = sp[-1].i;
+          if (b == 0) fault("integer remainder by zero");
+          if (b == -1) {
+            sp[-1] = Slot::fromInt(std::int64_t{0});
+          } else {
+            sp[-1] = Slot::fromInt(a % b);
+          }
+          break;
+        }
+        case Op::DivUL: {
+          const auto b = static_cast<std::uint64_t>((*--sp).i);
+          const auto a = static_cast<std::uint64_t>(sp[-1].i);
+          if (b == 0) fault("integer division by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
+          break;
+        }
+        case Op::RemUL: {
+          const auto b = static_cast<std::uint64_t>((*--sp).i);
+          const auto a = static_cast<std::uint64_t>(sp[-1].i);
+          if (b == 0) fault("integer remainder by zero");
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
+          break;
+        }
+        case Op::NegL:
+          sp[-1].i = static_cast<std::int64_t>(-static_cast<std::uint64_t>(sp[-1].i));
+          break;
+        case Op::NotL:
+          sp[-1].i = ~sp[-1].i;
+          break;
+
+  #define SKELCL_BIN_F32(OPNAME, OPERATOR)                                            \
+    case Op::OPNAME: {                                                                \
+      const double b = (*--sp).f;                                                     \
+      const double a = sp[-1].f;                                                      \
+      sp[-1] = Slot::fromFloat(static_cast<float>(static_cast<float>(a)               \
+                                                      OPERATOR static_cast<float>(b))); \
+      break;                                                                          \
+    }
+        SKELCL_BIN_F32(AddF32, +)
+        SKELCL_BIN_F32(SubF32, -)
+        SKELCL_BIN_F32(MulF32, *)
+        SKELCL_BIN_F32(DivF32, /)
+  #undef SKELCL_BIN_F32
+
+  #define SKELCL_BIN_F64(OPNAME, OPERATOR)       \
+    case Op::OPNAME: {                           \
+      const double b = (*--sp).f;                \
+      const double a = sp[-1].f;                 \
+      sp[-1] = Slot::fromFloat(a OPERATOR b);    \
+      break;                                     \
+    }
+        SKELCL_BIN_F64(AddF64, +)
+        SKELCL_BIN_F64(SubF64, -)
+        SKELCL_BIN_F64(MulF64, *)
+        SKELCL_BIN_F64(DivF64, /)
+  #undef SKELCL_BIN_F64
+
+        case Op::NegF32:
+          sp[-1].f = -static_cast<float>(sp[-1].f);
+          break;
+        case Op::NegF64:
+          sp[-1].f = -sp[-1].f;
+          break;
+
+  #define SKELCL_CMP(OPNAME, TYPE, FIELD, OPERATOR)                  \
+    case Op::OPNAME: {                                               \
+      const auto b = static_cast<TYPE>((*--sp).FIELD);               \
+      const auto a = static_cast<TYPE>(sp[-1].FIELD);                \
+      sp[-1] = Slot::fromInt((a OPERATOR b) ? 1 : 0);                \
+      break;                                                         \
+    }
+        SKELCL_CMP(EqI, std::int64_t, i, ==)
+        SKELCL_CMP(NeI, std::int64_t, i, !=)
+        SKELCL_CMP(LtI, std::int64_t, i, <)
+        SKELCL_CMP(LeI, std::int64_t, i, <=)
+        SKELCL_CMP(GtI, std::int64_t, i, >)
+        SKELCL_CMP(GeI, std::int64_t, i, >=)
+        SKELCL_CMP(LtU, std::uint32_t, i, <)
+        SKELCL_CMP(LeU, std::uint32_t, i, <=)
+        SKELCL_CMP(GtU, std::uint32_t, i, >)
+        SKELCL_CMP(GeU, std::uint32_t, i, >=)
+        SKELCL_CMP(LtUL, std::uint64_t, i, <)
+        SKELCL_CMP(LeUL, std::uint64_t, i, <=)
+        SKELCL_CMP(GtUL, std::uint64_t, i, >)
+        SKELCL_CMP(GeUL, std::uint64_t, i, >=)
+        SKELCL_CMP(EqF, double, f, ==)
+        SKELCL_CMP(NeF, double, f, !=)
+        SKELCL_CMP(LtF, double, f, <)
+        SKELCL_CMP(LeF, double, f, <=)
+        SKELCL_CMP(GtF, double, f, >)
+        SKELCL_CMP(GeF, double, f, >=)
+  #undef SKELCL_CMP
+
+        case Op::EqP: {
+          const Ptr b = (*--sp).p;
+          const Ptr a = sp[-1].p;
+          sp[-1] = Slot::fromInt((a.region == b.region && a.offset == b.offset) ? 1 : 0);
+          break;
+        }
+        case Op::NeP: {
+          const Ptr b = (*--sp).p;
+          const Ptr a = sp[-1].p;
+          sp[-1] = Slot::fromInt((a.region != b.region || a.offset != b.offset) ? 1 : 0);
+          break;
+        }
+        case Op::LNot:
+          sp[-1].i = sp[-1].i == 0 ? 1 : 0;
+          break;
+
+        case Op::I2F32:
+          sp[-1] = Slot::fromFloat(
+              static_cast<float>(static_cast<std::int64_t>(sp[-1].i)));
+          break;
+        case Op::I2F64:
+          sp[-1] = Slot::fromFloat(static_cast<double>(sp[-1].i));
+          break;
+        case Op::U2F32:
+          sp[-1] = Slot::fromFloat(
+              static_cast<float>(static_cast<std::uint32_t>(sp[-1].i)));
+          break;
+        case Op::U2F64:
+          sp[-1] = Slot::fromFloat(
+              static_cast<double>(static_cast<std::uint32_t>(sp[-1].i)));
+          break;
+        case Op::UL2F32:
+          sp[-1] = Slot::fromFloat(
+              static_cast<float>(static_cast<std::uint64_t>(sp[-1].i)));
+          break;
+        case Op::UL2F64:
+          sp[-1] = Slot::fromFloat(
+              static_cast<double>(static_cast<std::uint64_t>(sp[-1].i)));
+          break;
+        case Op::F2I: {
+          const double v = sp[-1].f;
+          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(v));
+          break;
+        }
+        case Op::F2L: {
+          const double v = sp[-1].f;
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
+          break;
+        }
+        case Op::F2UL: {
+          const double v = sp[-1].f;
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
+          break;
+        }
+        case Op::F2U: {
+          const double v = sp[-1].f;
+          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(v)));
+          break;
+        }
+        case Op::F64toF32:
+          sp[-1].f = static_cast<float>(sp[-1].f);
+          break;
+        case Op::I2U:
+          sp[-1].i = static_cast<std::int64_t>(static_cast<std::uint32_t>(sp[-1].i));
+          break;
+        case Op::U2I:
+          sp[-1].i = static_cast<std::int32_t>(static_cast<std::uint32_t>(sp[-1].i));
+          break;
+        case Op::BoolNorm:
+          sp[-1].i = sp[-1].i != 0 ? 1 : 0;
+          break;
+
+        case Op::Jmp:
+          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+          ip = codeBase + insn.a;
+          break;
+        case Op::Jz:
+          if ((*--sp).i == 0) {
+            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+            ip = codeBase + insn.a;
+          }
+          break;
+        case Op::Jnz:
+          if ((*--sp).i != 0) {
+            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+            ip = codeBase + insn.a;
+          }
+          break;
+
+        case Op::CallFn: {
+          checkBudget();
+          const auto& callee = program_.functions[static_cast<std::size_t>(insn.a)];
+          const std::size_t argc = callee.paramTypes.size();
+          const bool hasResult = callee.returnType != types::Void;
+          sp_ = sp;
+          // The callee pushes its result (if any) at `sp`, above the args; move
+          // it down over the consumed arguments.
+          executeFast(insn.a, std::span<const Slot>(sp - argc, argc), hasResult);
+          if (hasResult) {
+            const Slot result = sp[0];
+            sp -= argc;
+            *sp++ = result;
+          } else {
+            sp -= argc;
+          }
+          break;
+        }
+        case Op::CallBuiltin: {
+          checkBudget();
+          const BuiltinDef& def = builtins_[insn.a];
+          const std::size_t argc = static_cast<std::size_t>(insn.b);
+          sp -= argc;
+          const Slot result = def.fn(*this, sp);
+          if (def.ret != BType::Void) *sp++ = result;
+          break;
+        }
+
+        case Op::Ret: {
+          const Slot result = *--sp;
+          sp = base;
+          if (expectResult) *sp++ = result;
+          sp_ = sp;
+          currentFunction_ = savedFunction;
+          return;
+        }
+        case Op::RetVoid:
+          sp_ = base;
+          currentFunction_ = savedFunction;
+          return;
+
+        case Op::Dup:
+          sp[0] = sp[-1];
+          ++sp;
+          break;
+        case Op::Drop:
+          --sp;
+          break;
+
+        case Op::Trap:
+          fault("non-void function reached the end without returning a value");
+      }
+    }
+  } catch (const VmError&) {
+    attributeInlinedFault(fn, static_cast<std::size_t>(ip - codeBase - 1));
+    throw;
   }
 }
 
@@ -1175,7 +1188,7 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
         break;
       }
       case Op::CallBuiltin: {
-        const BuiltinDef& def = builtinTable()[static_cast<std::size_t>(insn.a)];
+        const BuiltinDef& def = builtins_[insn.a];
         const std::size_t argc = static_cast<std::size_t>(insn.b);
         Slot argv[8];
         for (std::size_t i = 0; i < argc; ++i) {

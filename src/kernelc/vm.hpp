@@ -110,8 +110,13 @@ class Vm final : public BuiltinCtx {
                     std::int64_t count);
 
   [[noreturn]] void fault(const std::string& message) const;
+  /// On the fault path of the packed interpreters: if instruction `pc` of
+  /// `fn` was inlined from another function, re-raise the fault under that
+  /// function's name (as the call would have reported it); else return.
+  void attributeInlinedFault(const FunctionCode& fn, std::size_t pc);
 
   const CompiledProgram& program_;
+  const BuiltinDef* const builtins_;  ///< builtinTable(), read once
   std::vector<MemRegion> regions_;  ///< [0] reserved null; then global args; then frames
 
   // reference path: growable operand stack with per-push guards
@@ -138,6 +143,7 @@ class Vm final : public BuiltinCtx {
   std::int64_t globalSize_ = 1;
   std::uint64_t instructions_ = 0;
   int currentFunction_ = -1;
+  mutable std::string faultMessage_;  ///< detail of the last fault raised
 
   static constexpr std::size_t kMaxStack = 1 << 16;
   static constexpr std::size_t kMaxCallDepth = 200;

@@ -262,4 +262,198 @@ TEST(KernelcDifferential, DuplicateFunctionNamesRejected) {
                CompileError);
 }
 
+// --- Inlining (inline.cpp) --------------------------------------------------
+// The optimized pipeline dissolves calls to small user functions into their
+// callers; the reference pipeline keeps every call.  Each case runs the three
+// paths through expectIdentical and checks which calls were inlined.
+
+/// True when `fn` still calls another function.
+bool makesCalls(const FunctionCode& fn) {
+  return std::any_of(fn.code.begin(), fn.code.end(),
+                     [](const Insn& insn) { return insn.op == Op::CallFn; });
+}
+
+const FunctionCode& kernelOf(const CompiledProgram& program, const std::string& name) {
+  return program.functions[static_cast<std::size_t>(program.findKernel(name))];
+}
+
+/// The optimized kernel inlined every call and batches; the reference one
+/// still calls.
+void expectFullyInlined(const std::string& source, const std::string& kernel) {
+  const auto ref = compileProgram(source, CompileOptions{false});
+  const auto opt = compileProgram(source, CompileOptions{true});
+  EXPECT_TRUE(makesCalls(kernelOf(*ref, kernel))) << "reference pipeline must not inline";
+  EXPECT_FALSE(makesCalls(kernelOf(*opt, kernel)));
+  EXPECT_TRUE(kernelOf(*opt, kernel).batchable);
+}
+
+TEST(KernelcInline, ValueAndVoidCallees) {
+  const std::string src = R"(
+    float scale(float x, float k) { return x * k + 1.0f; }
+    void put(__global float* p, int i, float v) { p[i] = v; }
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      put(out, gid, scale(out[gid], 0.5f) + scale((float)gid, 2.0f));
+    }
+  )";
+  std::vector<float> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = 0.75f * static_cast<float>(i) - 9.0f;
+  expectFullyInlined(src, "k");
+  expectIdentical(src, "k", data, 300);
+}
+
+TEST(KernelcInline, EarlyReturnInsideCallee) {
+  // Returns from inside a loop and an if, plus the fall-through return: every
+  // one becomes a jump to the continuation, divergently across lanes.
+  const std::string src = R"(
+    float firstAbove(__global float* p, int n, float t) {
+      for (int i = 0; i < n; ++i) {
+        if (p[n + i] > t) return p[n + i];
+      }
+      if (t < 0.0f) return -1.0f;
+      return 0.0f;
+    }
+    __kernel void k(__global float* data, int n) {
+      int gid = get_global_id(0);
+      data[gid] = firstAbove(data, n, (float)(gid % 40) - 3.0f);
+    }
+  )";
+  std::vector<float> data(128);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<float>((i * 7) % 37);
+  expectFullyInlined(src, "k");
+  expectIdentical(src, "k", data, 64, {Slot::fromInt(std::int64_t{64})});
+}
+
+TEST(KernelcInline, UnassignedLocalReadsZeroOnEveryCall) {
+  // `acc` is never initialized, so every call reads 0 (value-initialized
+  // locals).  Inlined into a loop, the copy must re-zero it per call rather
+  // than see the previous call's value.
+  const std::string src = R"(
+    float bump(float x) {
+      float acc;
+      acc = acc + x;
+      return acc;
+    }
+    __kernel void k(__global float* out, int n) {
+      int gid = get_global_id(0);
+      float sum = 0.0f;
+      for (int i = 0; i < n; ++i) sum = sum + bump((float)(gid + i));
+      out[gid] = sum;
+    }
+  )";
+  expectFullyInlined(src, "k");
+  expectIdentical(src, "k", std::vector<float>(40, 0.0f), 40, {Slot::fromInt(std::int64_t{6})});
+  const auto opt = compileProgram(src, CompileOptions{true});
+  // sum over i of (gid + i) for gid = 3, n = 6: 3*6 + 15.
+  std::vector<float> out(4, 0.0f);
+  std::vector<MemRegion> regions{
+      MemRegion{reinterpret_cast<std::byte*>(out.data()), out.size() * sizeof(float)}};
+  Ptr p;
+  p.region = 1;
+  const std::vector<Slot> args{Slot::fromPtr(p), Slot::fromInt(std::int64_t{6})};
+  Vm run(*opt, regions);
+  run.runKernelBatch(opt->findKernel("k"), args, 0, 4, 4);
+  EXPECT_EQ(out[3], 33.0f);
+}
+
+TEST(KernelcInline, NestedHelpers) {
+  const std::string src = R"(
+    float sq(float x) { return x * x; }
+    float norm2(float a, float b) { return sq(a) + sq(b); }
+    float dist(float a, float b, float c) { return sqrt(norm2(a, b) + sq(c)); }
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      out[gid] = dist(out[gid], (float)gid, 0.5f);
+    }
+  )";
+  std::vector<float> data(260);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = 1.5f * static_cast<float>(i) - 7.0f;
+  expectFullyInlined(src, "k");
+  // The helpers are themselves inlined bottom-up, and stay callable.
+  const auto opt = compileProgram(src, CompileOptions{true});
+  EXPECT_FALSE(makesCalls(opt->functions[static_cast<std::size_t>(opt->findFunction("dist"))]));
+  Vm vm(*opt, {});
+  const Slot r = vm.callFunction(opt->findFunction("dist"),
+                                 std::vector<Slot>{Slot::fromFloat(3.0), Slot::fromFloat(4.0),
+                                                   Slot::fromFloat(0.0)});
+  EXPECT_EQ(r.f, 5.0);
+  expectIdentical(src, "k", data, 260);
+}
+
+TEST(KernelcInline, StructLocalAndRecursionStayCalls) {
+  // Frame memory (a struct local) and recursion disqualify a callee; both
+  // stay calls on the per-item path and still agree across pipelines.
+  const std::string src = R"(
+    struct Pair { float a; float b; };
+    float blend(float x) {
+      struct Pair p;
+      p.a = x; p.b = x * 0.5f;
+      return p.a + p.b;
+    }
+    int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
+    float twice(float x) { return x + x; }
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      out[gid] = blend(out[gid]) + (float)fact(gid % 7) + twice((float)gid);
+    }
+  )";
+  const auto opt = compileProgram(src, CompileOptions{true});
+  const FunctionCode& kern = kernelOf(*opt, "k");
+  int calls = 0;
+  for (const Insn& insn : kern.code) {
+    if (insn.op != Op::CallFn) continue;
+    const std::string& callee = opt->functions[static_cast<std::size_t>(insn.a)].name;
+    EXPECT_TRUE(callee == "blend" || callee == "fact") << callee << " should have been inlined";
+    ++calls;
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(kern.batchable);
+  std::vector<float> data(48);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = 0.5f * static_cast<float>(i);
+  expectIdentical(src, "k", data, 48);
+}
+
+TEST(KernelcInline, FaultInsideInlinedCalleeNamesTheCallee) {
+  // Work-items 32.. read past the 64-element buffer inside `get`: every path
+  // must report the fault in 'get', as the call would have.
+  const std::string src = R"(
+    float get(__global float* p, int i) { return p[i]; }
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      out[gid] = get(out, 2 * gid) + 1.0f;
+    }
+  )";
+  expectFullyInlined(src, "k");
+  for (const bool optimize : {false, true}) {
+    for (const bool batch : {false, true}) {
+      if (!optimize && batch) continue;
+      SCOPED_TRACE(optimize ? (batch ? "batch" : "fast") : "ref");
+      const auto program = compileProgram(src, CompileOptions{optimize});
+      std::vector<float> buf(64, 1.0f);
+      std::vector<MemRegion> regions{
+          MemRegion{reinterpret_cast<std::byte*>(buf.data()), buf.size() * sizeof(float)}};
+      Ptr p;
+      p.region = 1;
+      const std::vector<Slot> args{Slot::fromPtr(p)};
+      Vm vm(*program, regions);
+      const int k = program->findKernel("k");
+      try {
+        if (batch) {
+          vm.runKernelBatch(k, args, 0, 64, 64);
+        } else {
+          for (std::int64_t gid = 0; gid < 64; ++gid) vm.runKernel(k, args, gid, 64);
+        }
+        ADD_FAILURE() << "expected a VmError";
+      } catch (const VmError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("device fault in 'get'"), std::string::npos) << what;
+        EXPECT_NE(what.find("out-of-bounds"), std::string::npos) << what;
+        if (!batch) {
+          EXPECT_NE(what.find("(work-item 32)"), std::string::npos) << what;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -2,9 +2,12 @@
 // including the paper's worked examples (Listing 1 SAXPY, Figure 2 scan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/skelcl.hpp"
+#include "kernelc/program.hpp"
+#include "ocl/program.hpp"
 #include "sim/rng.hpp"
 
 using namespace skelcl;
@@ -204,6 +207,64 @@ TEST_F(SkeletonTest, OutTargetPassedAsAdditionalArgumentThrows) {
   // A different output vector is fine.
   addv(out(x), x, v);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(x[i], 11.0f + i) << i;
+}
+
+TEST_F(SkeletonTest, GeneratedKernelsInlineTheUserFunction) {
+  // Every skeleton merges `func` into a generated kernel.  The optimized
+  // pipeline inlines it, so each kernel is call-free and runs work-group-
+  // batched; the reference pipeline keeps the call.
+  Vector<float> x({1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f});
+  Vector<float> y({8.0f, 7.0f, 6.0f, 5.0f, 4.0f, 3.0f, 2.0f, 1.0f});
+  Map<float(float)> twice("float func(float a) { return a + a; }");
+  Zip<float> add("float func(float a, float b) { return a + b; }");
+  Map<int(Index)> iota("int func(int i) { return i * 3; }");
+  Reduce<float> sum("float func(float a, float b) { return a + b; }");
+  Scan<float> prefix("float func(float a, float b) { return a + b; }");
+  MapOverlap<float(float)> blur1(
+      "float func(__global float* in, int i) { return in[i - 1] + in[i] + in[i + 1]; }", 1);
+  MapOverlap<float(float)> blur2(
+      "float func(__global float* m, int i, int s) { return m[i - s] + m[i] + m[i + s]; }", 1);
+  MapPairs<float(float, float)> diff("float func(float a, float b) { return a - b; }");
+  Pipeline<float> chain;
+  chain.map("float func(float a) { return a * 0.5f; }")
+      .zip(y, "float func(float a, float b) { return a * b; }");
+
+  Vector<float> a = twice(x);
+  Vector<float> b = add(x, y);
+  Vector<int> c = iota(IndexVector(8));
+  EXPECT_FLOAT_EQ(sum(x), 36.0f);
+  Vector<float> d = prefix(x);
+  Vector<float> e = blur1(x);
+  Matrix<float> f = blur2(Matrix<float>(4, 4, std::vector<float>(16, 1.0f)));
+  Matrix<float> g = diff(x, y);
+  Vector<float> h = chain(x);
+  EXPECT_FLOAT_EQ(chain.reduce("float func(float a, float b) { return a + b; }", x), 60.0f);
+  EXPECT_FLOAT_EQ(a[7] + b[0] + static_cast<float>(c[7]) + d[7] + e[0] + f(1, 1) + g(0, 0) +
+                      h[0],
+                  16.0f + 9.0f + 21.0f + 36.0f + 3.0f + 3.0f - 7.0f + 4.0f);
+
+  const bool optimized = kc::defaultCompileOptions().optimize;
+  int kernels = 0;
+  for (const auto& program : detail::currentSession().shared().cachedPrograms()) {
+    const kc::CompiledProgram& compiled = *program->compiled();
+    for (const kc::FunctionCode& fn : compiled.functions) {
+      if (!fn.isKernel) continue;
+      ++kernels;
+      const bool calls = std::any_of(fn.code.begin(), fn.code.end(), [](const kc::Insn& i) {
+        return i.op == kc::Op::CallFn;
+      });
+      const bool inlined = std::any_of(fn.code.begin(), fn.code.end(), [](const kc::Insn& i) {
+        return i.origin >= 0;
+      });
+      if (optimized) {
+        EXPECT_FALSE(calls) << fn.name;
+        EXPECT_TRUE(fn.batchable) << fn.name;
+      } else {
+        EXPECT_FALSE(inlined) << fn.name;
+      }
+    }
+  }
+  EXPECT_GE(kernels, 10);
 }
 
 TEST_F(SkeletonTest, SizesTokenDeliversPartSizes) {

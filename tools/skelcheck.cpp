@@ -44,10 +44,22 @@ bool runSeed(std::uint64_t seed, int numOps, const std::string& outDir, bool shr
   Program repro = prog;
   if (shrinkIt) {
     std::fprintf(stderr, "shrinking (%zu ops)...\n", prog.ops.size());
-    repro = shrink(prog, [](const Program& cand) { return !runProgram(cand).ok; });
-    const RunResult small = runProgram(repro);
-    std::fprintf(stderr, "shrunk to %zu ops: %s\n", repro.ops.size(),
-                 small.message.c_str());
+    const Program shrunk =
+        shrink(prog, [](const Program& cand) { return !runProgram(cand).ok; });
+    const RunResult small = runProgram(shrunk);
+    if (small.ok) {
+      // Every shrink step saw a divergence, yet the result passes: the
+      // divergence depends on something other than the program (thread
+      // scheduling).  The unshrunk program is the honest repro.
+      std::fprintf(stderr,
+                   "shrunk program passed its re-run: the divergence did not reproduce "
+                   "(nondeterministic); keeping the unshrunk %zu-op program\n",
+                   prog.ops.size());
+    } else {
+      repro = shrunk;
+      std::fprintf(stderr, "shrunk to %zu ops: %s\n", repro.ops.size(),
+                   small.message.c_str());
+    }
   }
   const std::string path = outDir + "/seed-" + std::to_string(seed) + ".skelcheck";
   std::ofstream out(path);
