@@ -1,9 +1,10 @@
 // Interpreter throughput benchmark (docs/VM.md): runs mandelbrot-shaped,
-// OSEM-shaped, Gaussian-blur-stencil and generated-skeleton kernels on the
-// kernelc VM along every interpreter path —
+// OSEM-shaped, Gaussian-blur-stencil and generated-skeleton kernels, and the
+// step-1 kernel SkelCL generates for OSEM, on the kernelc VM along every
+// interpreter path —
 //   ref    the reference pipeline on the guarded interpreter (SKELCL_KC_OPT=0)
-//   fast   the optimized pipeline (inlining, peephole superinstructions,
-//          packed encoding) on the sequential fast interpreter
+//   fast   the optimized pipeline (inlining, register code) on the
+//          sequential fast interpreter
 //   batch  the optimized pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
 // Each leg is timed over 5 repetitions in-process (2 with --smoke); the
@@ -27,6 +28,8 @@
 
 #include "kernelc/program.hpp"
 #include "kernelc/vm.hpp"
+#include "osem/osem.hpp"
+#include "osem/osem_kernels.hpp"
 
 using namespace skelcl::kc;
 
@@ -65,8 +68,8 @@ const char* const kOsemSrc = R"(
 )";
 
 // Vertical 5-tap Gaussian over a column-pitched image: each work-item reads
-// its own column's taps at gid + t*512 from a halo-padded input.  Exercises
-// the LoadSlotElem superinstructions on the weight lookups.
+// its own column's taps at gid + t*512 from a halo-padded input.  The weight
+// lookups index a pointer slot by a slot.
 const char* const kBlurSrc = R"(
   __kernel void blur(__global float* in, __global float* w, __global float* out) {
     int gid = get_global_id(0);
@@ -107,17 +110,23 @@ __kernel void skelcl_reduce(__global float* skelcl_in, __global float* skelcl_pa
 struct Arg {
   enum class Kind { In, Out, Scalar };
   Kind kind;
-  std::int64_t elems = 0;  ///< In: buffer length in floats (Out has `items`)
-  std::int64_t value = 0;  ///< Scalar: int argument
+  std::int64_t elems = 0;   ///< buffer length in floats (Out: 0 means `items`)
+  Slot value{};             ///< Scalar argument
+  std::vector<float> data;  ///< In: contents (empty: a generated pattern)
 };
 
-Arg in(std::int64_t elems) { return Arg{Arg::Kind::In, elems, 0}; }
-Arg out() { return Arg{Arg::Kind::Out, 0, 0}; }
-Arg scalar(std::int64_t v) { return Arg{Arg::Kind::Scalar, 0, v}; }
+Arg in(std::int64_t elems) { return Arg{Arg::Kind::In, elems, Slot{}, {}}; }
+Arg in(std::vector<float> data) {
+  const auto elems = static_cast<std::int64_t>(data.size());
+  return Arg{Arg::Kind::In, elems, Slot{}, std::move(data)};
+}
+Arg out(std::int64_t elems = 0) { return Arg{Arg::Kind::Out, elems, Slot{}, {}}; }
+Arg scalar(std::int64_t v) { return Arg{Arg::Kind::Scalar, 0, Slot::fromInt(v), {}}; }
+Arg scalarF(float v) { return Arg{Arg::Kind::Scalar, 0, Slot::fromFloat(v), {}}; }
 
 struct Workload {
   const char* name;
-  const char* source;
+  std::string source;
   const char* kernel;
   std::int64_t items;
   std::vector<Arg> args;
@@ -133,7 +142,7 @@ struct Config {
 struct Leg {
   std::vector<double> seconds;   ///< one per repetition
   std::uint64_t instructions = 0;
-  std::vector<float> out;
+  std::vector<float> out;  ///< every Out buffer, concatenated
   bool stable = true;  ///< every repetition retired the same count and output
 };
 
@@ -145,25 +154,26 @@ Leg runLeg(const Workload& w, const Config& cfg, int reps) {
     std::exit(1);
   }
 
-  // Buffers are bound once; inputs are never written, and `out` is reset
-  // before every repetition.
+  // Buffers are bound once; inputs are never written, and the outputs are
+  // reset before every repetition.
   std::vector<std::vector<float>> buffers;
   buffers.reserve(w.args.size());
   std::vector<MemRegion> regions;
   std::vector<Slot> args;
-  std::vector<float>* outBuf = nullptr;
+  std::vector<std::vector<float>*> outBufs;
   for (const Arg& a : w.args) {
     if (a.kind == Arg::Kind::Scalar) {
-      args.push_back(Slot::fromInt(a.value));
+      args.push_back(a.value);
       continue;
     }
-    const std::int64_t elems = a.kind == Arg::Kind::Out ? w.items : a.elems;
+    const std::int64_t elems = a.kind == Arg::Kind::Out && a.elems == 0 ? w.items : a.elems;
     std::vector<float>& buf = buffers.emplace_back(static_cast<std::size_t>(elems));
     const std::size_t b = buffers.size();
     for (std::size_t i = 0; i < buf.size(); ++i) {
       buf[i] = 0.25f * static_cast<float>((i * 7 + b) % 100 + 1);
     }
-    if (a.kind == Arg::Kind::Out) outBuf = &buf;
+    if (!a.data.empty()) buf = a.data;
+    if (a.kind == Arg::Kind::Out) outBufs.push_back(&buf);
     regions.push_back(
         MemRegion{reinterpret_cast<std::byte*>(buf.data()), buf.size() * sizeof(float)});
     Ptr p;
@@ -174,7 +184,7 @@ Leg runLeg(const Workload& w, const Config& cfg, int reps) {
 
   Leg leg;
   for (int r = 0; r < reps; ++r) {
-    std::fill(outBuf->begin(), outBuf->end(), 0.0f);
+    for (std::vector<float>* o : outBufs) std::fill(o->begin(), o->end(), 0.0f);
     Vm vm(*program, regions);
     const auto t0 = std::chrono::steady_clock::now();
     if (cfg.batch) {
@@ -190,10 +200,12 @@ Leg runLeg(const Workload& w, const Config& cfg, int reps) {
     }
     const auto t1 = std::chrono::steady_clock::now();
     leg.seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+    std::vector<float> outs;
+    for (const std::vector<float>* o : outBufs) outs.insert(outs.end(), o->begin(), o->end());
     if (r == 0) {
       leg.instructions = vm.instructionsExecuted();
-      leg.out = *outBuf;
-    } else if (vm.instructionsExecuted() != leg.instructions || *outBuf != leg.out) {
+      leg.out = std::move(outs);
+    } else if (vm.instructionsExecuted() != leg.instructions || outs != leg.out) {
       leg.stable = false;
     }
   }
@@ -241,7 +253,8 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
                    static_cast<unsigned long long>(legs[0].instructions));
       outcome.identical = false;
     }
-    if (std::memcmp(legs[c].out.data(), legs[0].out.data(),
+    if (legs[c].out.size() != legs[0].out.size() ||
+        std::memcmp(legs[c].out.data(), legs[0].out.data(),
                     legs[0].out.size() * sizeof(float)) != 0) {
       std::fprintf(stderr, "%s: %s output is not bit-identical to ref\n", w.name,
                    kConfigs[c].name);
@@ -297,6 +310,22 @@ int main(int argc, char** argv) {
   const std::int64_t reduceItems = smoke ? 64 : 1024;
   const std::int64_t reduceChunk = smoke ? 32 : 256;
 
+  // OSEM step 1 as SkelCL runs it: the generated Map kernel calling `func`
+  // (struct local, two inlined osem_march calls, atomic_add_f), per item,
+  // over the first events of a generated subset scattering into image c.
+  skelcl::osem::OsemConfig osemCfg;
+  osemCfg.volume.nx = osemCfg.volume.ny = osemCfg.volume.nz = smoke ? 16 : 48;
+  osemCfg.eventsPerSubset = smoke ? 256 : 4096;
+  osemCfg.numSubsets = 1;
+  const auto osemData = skelcl::osem::OsemData::generate(osemCfg);
+  const auto& vol = osemData.volume();
+  const auto stepItems = static_cast<std::int64_t>(osemData.subsetSize());
+  const auto* eventFloats = reinterpret_cast<const float*>(osemData.subset(0));
+  std::vector<float> events(eventFloats,
+                            eventFloats + osemData.subsetSize() * sizeof(skelcl::osem::Event) /
+                                              sizeof(float));
+  const auto voxels = static_cast<std::int64_t>(vol.voxels());
+
   const Workload workloads[] = {
       {"mandelbrot", kMandelSrc, "mandel", mandelItems,
        {out(), scalar(width), scalar(maxIter)}},
@@ -309,6 +338,10 @@ int main(int argc, char** argv) {
       {"skel_reduce", kSkelReduceSrc, "skelcl_reduce", reduceItems,
        {in(reduceItems * reduceChunk), out(), scalar(reduceItems * reduceChunk),
         scalar(reduceChunk)}},
+      {"osem_step1", skelcl::osem::generatedStep1KernelSource(), "skelcl_kernel", stepItems,
+       {out(), scalar(stepItems), scalar(0), in(std::move(events)), scalar(0),
+        scalar(stepItems), in(voxels), out(voxels), scalar(vol.nx), scalar(vol.ny),
+        scalar(vol.nz), scalarF(vol.voxel)}},
   };
 
   std::printf("bench_vm: median Mi/s [IQR] over %d repetitions per leg\n", reps);

@@ -1,4 +1,6 @@
-// Stack-machine bytecode produced by the compiler and executed by the VM.
+// Bytecode: the compiler's stack-machine IR (Insn), run by the reference
+// interpreter, and the three-address register encoding (PackedInsn) the
+// optimized pipeline translates it into (encode.cpp, docs/VM.md).
 #pragma once
 
 #include <cstdint>
@@ -77,47 +79,27 @@ enum class Op : std::uint8_t {
   // diagnostics
   Trap,  // a = trap message index (e.g. missing return)
 
-  // -------------------------------------------------------------------------
-  // Superinstructions (emitted by the peephole pass, never by the compiler
-  // proper).  Each replaces a fixed window of naive instructions; its `weight`
-  // equals the window length so retired-instruction accounting — and thus
-  // simulated kernel time — is exactly what the unfused program would report.
-  // -------------------------------------------------------------------------
-  PtrAddImm,       // a = element size, imm = constant index; pop ptr, push ptr+imm*a
-  LoadElemI32,     // a = element size; pop index, pop ptr, push typed load
-  LoadElemU32,
-  LoadElemF32,
-  LoadElemF64,
-  LoadElemI64,
-  LoadSlotElemI32,  // a = pointer slot, b = index slot, imm = element size;
-  LoadSlotElemU32,  // push typed load of slot[a][slot[b]]
-  LoadSlotElemF32,
-  LoadSlotElemF64,
-  LoadSlotElemI64,
-  TeeStoreI32,     // a = scratch slot; pop value, pop ptr, typed store,
-  TeeStoreI64,     // slot[a] = value (the scratch the naive sequence wrote)
-  TeeStoreF32,
-  TeeStoreF64,
-  IncSlotI,        // a = slot, imm = delta; slot[a] = int32(slot[a] + delta)
-  LoadSlot2,       // a, b = slots; push slot[a] then slot[b]
-  CmpJz,           // b = comparison Op, a = target; pop rhs, pop lhs, branch if false
-  CmpJnz,          // b = comparison Op, a = target; branch if true
+  // Inliner bookkeeping (inline.cpp): a = first slot, b = count; every slot
+  // in [a, a+b) becomes zero.  Value-initializes an inlined callee's locals.
+  ZeroSlots,
 
-  // Packed-only constant-pool pushes (produced by the encoder, not the
-  // peephole pass): k indexes the function's constant pool.
-  PushCI,          // push pool[k] as int64
-  PushCF,          // push bit_cast<double>(pool[k])
+  // -------------------------------------------------------------------------
+  // Register form only (encode.cpp), never emitted by the compiler proper.
+  // -------------------------------------------------------------------------
+  Mov,     // R[k] = R[a]
+  CmpJz,   // c = comparison Op; branch to k unless R[a] <cmp> R[b]
+  CmpJnz,  // branch to k if R[a] <cmp> R[b]
 };
 
 /// Number of opcodes (for tables / exhaustiveness tests).
-inline constexpr int kOpCount = static_cast<int>(Op::PushCF) + 1;
+inline constexpr int kOpCount = static_cast<int>(Op::CmpJnz) + 1;
 
 const char* opName(Op op);
 
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
 /// `weight` is the number of source (naive) instructions this one retires:
-/// 1 for everything the compiler emits, the window length for peephole
-/// superinstructions, 0 for the bookkeeping the inliner adds.
+/// 1 for everything the compiler emits, 0 for the bookkeeping the inliner
+/// adds.
 struct Insn {
   Op op;
   std::int32_t a = 0;
@@ -131,11 +113,13 @@ struct Insn {
   std::int32_t origin = -1;
 };
 
-/// Execution encoding: 16 bytes per instruction (vs 32 for Insn), halving
-/// I-cache pressure in the dispatch loop.  Cold 64-bit payloads (big integer
-/// immediates, float immediates) move to a side constant pool indexed by `k`;
-/// small integer immediates ride inline in `a`/`b`; `c` carries small
-/// auxiliary payloads (fused comparison opcode, element sizes).
+/// Execution encoding: 16-byte three-address register code.  Every operand
+/// is a register of the frame's register file (slots, then one register per
+/// operand-stack height, then the constant pool).  `k` is the destination
+/// register (or the branch target / byte count of ops without one), `a` and
+/// `b` the source registers; `c` carries small payloads (element size,
+/// builtin id, a fused comparison).
+/// `weight` is the sum of the naive instructions the translation folded in.
 struct PackedInsn {
   Op op;
   std::uint8_t weight;
@@ -157,9 +141,19 @@ struct FunctionCode {
   std::vector<Insn> code;
 
   // Filled by the encoder (kernelc/encode.cpp) for the optimized pipeline.
-  int maxStack = 0;  ///< worst-case operand-stack growth, checked once at entry
-  std::vector<PackedInsn> packed;   ///< compact dispatch form of `code`
-  std::vector<std::uint64_t> pool;  ///< constant pool referenced by `packed`
+  int maxStack = 0;  ///< operand-stack registers: worst-case stack height
+  int numRegs = 0;   ///< register file: numSlots + maxStack + pool.size()
+  std::vector<PackedInsn> packed;   ///< register-form translation of `code`
+  /// Constant registers [numRegs - pool.size(), numRegs): their values,
+  /// written at frame entry, and whether each one is a float (for dumps).
+  std::vector<std::uint64_t> pool;
+  std::vector<bool> poolIsFloat;
+  /// Insn::origin of each packed instruction; read on the fault path only.
+  std::vector<std::int32_t> packedOrigin;
+  /// Operand-stack height at each packed branch (0 elsewhere): the batched
+  /// interpreter permutes registers [0, numSlots + height) when lanes
+  /// diverge there.
+  std::vector<std::int32_t> branchHeight;
   /// True when the kernel can run on the work-group-batched interpreter
   /// (Vm::runKernelBatch): no calls into other functions (inline.cpp removes
   /// the calls to small user functions first), no frame memory,

@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "kernelc/builtins.hpp"
+
 namespace skelcl::kc {
 
 const char* opName(Op op) {
@@ -111,27 +113,10 @@ const char* opName(Op op) {
     case Op::Dup: return "dup";
     case Op::Drop: return "drop";
     case Op::Trap: return "trap";
-    case Op::PtrAddImm: return "ptradd.imm";
-    case Op::LoadElemI32: return "loadelem.i32";
-    case Op::LoadElemU32: return "loadelem.u32";
-    case Op::LoadElemF32: return "loadelem.f32";
-    case Op::LoadElemF64: return "loadelem.f64";
-    case Op::LoadElemI64: return "loadelem.i64";
-    case Op::LoadSlotElemI32: return "loadslotelem.i32";
-    case Op::LoadSlotElemU32: return "loadslotelem.u32";
-    case Op::LoadSlotElemF32: return "loadslotelem.f32";
-    case Op::LoadSlotElemF64: return "loadslotelem.f64";
-    case Op::LoadSlotElemI64: return "loadslotelem.i64";
-    case Op::TeeStoreI32: return "teestore.i32";
-    case Op::TeeStoreI64: return "teestore.i64";
-    case Op::TeeStoreF32: return "teestore.f32";
-    case Op::TeeStoreF64: return "teestore.f64";
-    case Op::IncSlotI: return "incslot.i";
-    case Op::LoadSlot2: return "load.slot2";
+    case Op::ZeroSlots: return "zero.slots";
+    case Op::Mov: return "mov";
     case Op::CmpJz: return "cmp.jz";
     case Op::CmpJnz: return "cmp.jnz";
-    case Op::PushCI: return "push.ci";
-    case Op::PushCF: return "push.cf";
   }
   return "?";
 }
@@ -164,38 +149,8 @@ std::string disassemble(const FunctionCode& fn) {
       case Op::CallBuiltin:
         os << " " << insn.a << " argc=" << insn.b;
         break;
-      case Op::PtrAddImm:
-        os << " " << insn.a << " +" << insn.imm;
-        break;
-      case Op::LoadElemI32:
-      case Op::LoadElemU32:
-      case Op::LoadElemF32:
-      case Op::LoadElemF64:
-      case Op::LoadElemI64:
-        os << " sz=" << insn.a;
-        break;
-      case Op::LoadSlotElemI32:
-      case Op::LoadSlotElemU32:
-      case Op::LoadSlotElemF32:
-      case Op::LoadSlotElemF64:
-      case Op::LoadSlotElemI64:
-        os << " ptr=s" << insn.a << " idx=s" << insn.b << " sz=" << insn.imm;
-        break;
-      case Op::TeeStoreI32:
-      case Op::TeeStoreI64:
-      case Op::TeeStoreF32:
-      case Op::TeeStoreF64:
-        os << " s" << insn.a;
-        break;
-      case Op::IncSlotI:
-        os << " s" << insn.a << " +" << insn.imm;
-        break;
-      case Op::LoadSlot2:
-        os << " s" << insn.a << " s" << insn.b;
-        break;
-      case Op::CmpJz:
-      case Op::CmpJnz:
-        os << " " << insn.a << " (" << opName(static_cast<Op>(insn.b)) << ")";
+      case Op::ZeroSlots:
+        os << " " << insn.a << " count=" << insn.b;
         break;
       default:
         break;
@@ -206,77 +161,101 @@ std::string disassemble(const FunctionCode& fn) {
   return os.str();
 }
 
+namespace {
+
+/// A register operand of the packed code, printed as rN.
+struct Reg {
+  std::int32_t index;
+};
+
+std::ostream& operator<<(std::ostream& os, Reg reg) { return os << 'r' << reg.index; }
+
+}  // namespace
+
 std::string disassemblePacked(const FunctionCode& fn) {
   std::ostringstream os;
   os << (fn.isKernel ? "kernel " : "function ") << fn.name << " (slots=" << fn.numSlots
      << ", frame=" << fn.frameBytes << "B, maxstack=" << fn.maxStack
-     << ", pool=" << fn.pool.size() << ")\n";
+     << ", pool=" << fn.pool.size() << ", regs=" << fn.numRegs << ")\n";
+  // Frame entry writes every pool constant into its register.
+  const std::size_t constBase = static_cast<std::size_t>(fn.numRegs) - fn.pool.size();
+  for (std::size_t i = 0; i < fn.pool.size(); ++i) {
+    os << "  entry  ";
+    if (fn.poolIsFloat[i]) {
+      double v;
+      std::memcpy(&v, &fn.pool[i], sizeof v);
+      os << "push.cf [" << i << "]=" << v;
+    } else {
+      os << "push.ci [" << i << "]=" << static_cast<std::int64_t>(fn.pool[i]);
+    }
+    os << " -> r" << constBase + i << "\n";
+  }
+  const auto r = [](std::int32_t reg) { return Reg{reg}; };
   for (std::size_t i = 0; i < fn.packed.size(); ++i) {
     const PackedInsn& insn = fn.packed[i];
     os << std::setw(5) << i << "  " << opName(insn.op);
     switch (insn.op) {
-      case Op::PushI:
-        os << " " << insn.a;
-        break;
-      case Op::PushCI: {
-        os << " [" << insn.k << "]="
-           << static_cast<std::int64_t>(fn.pool[static_cast<std::size_t>(insn.k)]);
-        break;
-      }
-      case Op::PushCF: {
-        double v;
-        std::memcpy(&v, &fn.pool[static_cast<std::size_t>(insn.k)], sizeof v);
-        os << " [" << insn.k << "]=" << v;
-        break;
-      }
-      case Op::LoadSlot:
-      case Op::StoreSlot:
-      case Op::LeaFrame:
-      case Op::MemCopy:
-      case Op::PtrAdd:
       case Op::Jmp:
+        os << " " << insn.k;
+        break;
       case Op::Jz:
       case Op::Jnz:
-      case Op::CallFn:
-        os << " " << insn.a;
-        break;
-      case Op::CallBuiltin:
-        os << " " << insn.a << " argc=" << insn.b;
-        break;
-      case Op::PtrAddImm:
-        os << " " << insn.a << " +" << insn.b;
-        break;
-      case Op::LoadElemI32:
-      case Op::LoadElemU32:
-      case Op::LoadElemF32:
-      case Op::LoadElemF64:
-      case Op::LoadElemI64:
-        os << " sz=" << insn.a;
-        break;
-      case Op::LoadSlotElemI32:
-      case Op::LoadSlotElemU32:
-      case Op::LoadSlotElemF32:
-      case Op::LoadSlotElemF64:
-      case Op::LoadSlotElemI64:
-        os << " ptr=s" << insn.a << " idx=s" << insn.b << " sz=" << insn.c;
-        break;
-      case Op::TeeStoreI32:
-      case Op::TeeStoreI64:
-      case Op::TeeStoreF32:
-      case Op::TeeStoreF64:
-        os << " s" << insn.a;
-        break;
-      case Op::IncSlotI:
-        os << " s" << insn.a << " +" << insn.b;
-        break;
-      case Op::LoadSlot2:
-        os << " s" << insn.a << " s" << insn.b;
+        os << " " << r(insn.a) << ", " << insn.k;
         break;
       case Op::CmpJz:
       case Op::CmpJnz:
-        os << " " << insn.a << " (" << opName(static_cast<Op>(insn.c)) << ")";
+        os << " " << insn.k << " (" << opName(static_cast<Op>(insn.c)) << " "
+           << r(insn.a) << ", " << r(insn.b) << ")";
         break;
-      default:
+      case Op::StoreI32:
+      case Op::StoreI64:
+      case Op::StoreF32:
+      case Op::StoreF64:
+        os << " [" << r(insn.a) << "], " << r(insn.b);
+        break;
+      case Op::MemCopy:
+        os << " [" << r(insn.a) << "], [" << r(insn.b) << "], " << insn.k << "B";
+        break;
+      case Op::ZeroSlots:
+        if (insn.b > 0) os << " " << r(insn.a) << ".." << r(insn.a + insn.b - 1);
+        break;
+      case Op::LeaFrame:
+        os << " " << r(insn.k) << ", +" << insn.a;
+        break;
+      case Op::PtrAdd:
+        os << " " << r(insn.k) << ", " << r(insn.a) << ", " << r(insn.b) << "*" << insn.c;
+        break;
+      case Op::CallFn:
+        os << " " << r(insn.k) << ", fn" << insn.a << "(" << r(insn.b) << "..)";
+        break;
+      case Op::CallBuiltin: {
+        const BuiltinDef& def = builtinTable().at(insn.c);
+        os << " " << r(insn.k) << ", " << def.name << "(";
+        for (std::size_t i = 0; i < def.params.size(); ++i) {
+          const auto reg = static_cast<std::int32_t>(i);
+          os << (i > 0 ? ", " : "")
+             << r(def.params.size() <= 2 ? (i == 0 ? insn.a : insn.b) : insn.a + reg);
+        }
+        os << ")";
+        break;
+      }
+      case Op::Ret:
+        os << " " << r(insn.a);
+        break;
+      case Op::RetVoid:
+      case Op::Trap:
+        break;
+      case Op::Mov:
+      case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64: case Op::LoadI64:
+      case Op::NegI: case Op::NotI: case Op::NegL: case Op::NotL:
+      case Op::NegF32: case Op::NegF64: case Op::LNot:
+      case Op::I2F32: case Op::I2F64: case Op::U2F32: case Op::U2F64:
+      case Op::UL2F32: case Op::UL2F64: case Op::F2I: case Op::F2U: case Op::F2L:
+      case Op::F2UL: case Op::F64toF32: case Op::I2U: case Op::U2I: case Op::BoolNorm:
+        os << " " << r(insn.k) << ", " << r(insn.a);
+        break;
+      default:  // binary operators and comparisons
+        os << " " << r(insn.k) << ", " << r(insn.a) << ", " << r(insn.b);
         break;
     }
     if (insn.weight != 1) os << "  ;w=" << static_cast<int>(insn.weight);

@@ -1,8 +1,10 @@
-// Final lowering of compiled functions for the optimized pipeline:
-//  - computes each function's worst-case operand-stack growth (`maxStack`),
-//    letting the VM hoist per-push overflow guards to one check at entry;
-//  - packs the 32-byte Insn IR into the 16-byte PackedInsn dispatch encoding,
-//    moving cold 64-bit immediates into a per-function constant pool.
+// Final lowering of compiled functions for the optimized pipeline: translates
+// the stack-machine Insn IR into three-address register code (PackedInsn).
+// Each operand-stack height gets a fixed register, and inside a basic block
+// slot loads and constant pushes fold into the instructions that consume
+// them, while a slot store folds into the instruction that produced the
+// stored value (docs/VM.md).  Retired-instruction counts are unchanged: a
+// folded instruction's weight rides on an instruction of the same block.
 #pragma once
 
 #include <vector>
@@ -11,9 +13,9 @@
 
 namespace skelcl::kc {
 
-/// Finalize every function in `fns` (maxStack + packed encoding).  Call-stack
-/// deltas of CallFn instructions are resolved against `fns` itself, so the
-/// whole program must be compiled first.
+/// Finalize every function in `fns` (register file layout, packed code,
+/// batchable flag).  Call-stack deltas of CallFn instructions are resolved
+/// against `fns` itself, so the whole program must be compiled first.
 void finalizeFunctions(std::vector<FunctionCode>& fns);
 
 /// Operand-stack height before each instruction of `fn.code` (-1 where

@@ -16,22 +16,24 @@ constexpr std::size_t kMaxInlinedInsns = 1024;
 
 bool isJump(Op op) { return op == Op::Jmp || op == Op::Jz || op == Op::Jnz; }
 
-/// Whether calls to `fn` (whose own calls are already inlined) can be
-/// expanded in place.
-bool isInlinable(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
-  if (fn.isKernel || fn.frameBytes != 0 || fn.code.size() > kMaxInlinedInsns) return false;
+/// Number of `fn`'s instructions an inlined copy needs (its unreachable
+/// trailing Trap is left out), or 0 when calls to `fn` (whose own calls are
+/// already inlined) cannot be expanded in place.
+std::size_t inlinedBodySize(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
+  if (fn.isKernel || fn.frameBytes != 0 || fn.code.size() > kMaxInlinedInsns) return 0;
   for (const Insn& insn : fn.code) {
-    if (insn.op == Op::CallFn) return false;
+    if (insn.op == Op::CallFn) return 0;
   }
   // A return must leave exactly its result on the stack: the inlined copy
   // jumps to the continuation without unwinding anything.
   const std::vector<int> height = computeStackHeights(fn, fns);
   for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
     if (height[pc] < 0) continue;
-    if (fn.code[pc].op == Op::Ret && height[pc] != 1) return false;
-    if (fn.code[pc].op == Op::RetVoid && height[pc] != 0) return false;
+    if (fn.code[pc].op == Op::Ret && height[pc] != 1) return 0;
+    if (fn.code[pc].op == Op::RetVoid && height[pc] != 0) return 0;
   }
-  return true;
+  const bool deadTrap = fn.code.back().op == Op::Trap && height.back() < 0;
+  return fn.code.size() - (deadTrap ? 1 : 0);
 }
 
 Insn make(Op op, std::int32_t a, std::uint8_t weight, std::int32_t origin) {
@@ -44,21 +46,21 @@ Insn make(Op op, std::int32_t a, std::uint8_t weight, std::int32_t origin) {
 }
 
 /// Number of instructions the expansion of a call to `callee` occupies.
-std::size_t expansionSize(const FunctionCode& callee) {
+std::size_t expansionSize(const FunctionCode& callee, std::size_t bodySize) {
   const std::size_t argc = callee.paramTypes.size();
-  const std::size_t locals = static_cast<std::size_t>(callee.numSlots) - argc;
-  return (argc > 0 ? argc : 1) + 2 * locals + callee.code.size();
+  const bool locals = static_cast<std::size_t>(callee.numSlots) > argc;
+  return (argc > 0 ? argc : 1) + (locals ? 1 : 0) + bodySize;
 }
 
 /// Rewrite `caller` with every inlinable call expanded.  All callees share
 /// one slot range after the caller's own slots: inlined bodies never
 /// overlap in time, and each copy zeroes its locals.
 void inlineInto(FunctionCode& caller, const std::vector<FunctionCode>& fns,
-                const std::vector<char>& inlinable) {
+                const std::vector<std::size_t>& bodySize) {
   const std::vector<Insn>& code = caller.code;
   const std::size_t n = code.size();
   const auto expands = [&](const Insn& insn) {
-    return insn.op == Op::CallFn && inlinable[static_cast<std::size_t>(insn.a)];
+    return insn.op == Op::CallFn && bodySize[static_cast<std::size_t>(insn.a)] > 0;
   };
 
   std::vector<std::int32_t> newIndexOf(n + 1);
@@ -67,7 +69,8 @@ void inlineInto(FunctionCode& caller, const std::vector<FunctionCode>& fns,
   for (std::size_t i = 0; i < n; ++i) {
     newIndexOf[i] = static_cast<std::int32_t>(size);
     if (expands(code[i])) {
-      size += expansionSize(fns[static_cast<std::size_t>(code[i].a)]);
+      const auto callee = static_cast<std::size_t>(code[i].a);
+      size += expansionSize(fns[callee], bodySize[callee]);
       any = true;
     } else {
       ++size;
@@ -101,20 +104,23 @@ void inlineInto(FunctionCode& caller, const std::vector<FunctionCode>& fns,
       out.push_back(make(Op::StoreSlot, base + p, p == argc - 1 ? insn.weight : 0, from));
     }
     // Locals are value-initialized on every call, also inside a loop.
-    for (std::int32_t s = argc; s < callee.numSlots; ++s) {
-      out.push_back(make(Op::PushI, 0, 0, from));
-      out.push_back(make(Op::StoreSlot, base + s, 0, from));
+    if (callee.numSlots > argc) {
+      Insn zero = make(Op::ZeroSlots, base + argc, 0, from);
+      zero.b = callee.numSlots - argc;
+      out.push_back(zero);
     }
 
     // Body: slots shifted into the shared range, jumps rebased, returns
     // turned into jumps to the continuation that retire the return.
+    const std::size_t body = bodySize[static_cast<std::size_t>(from)];
     const auto bodyStart = static_cast<std::int32_t>(out.size());
-    const auto continuation = bodyStart + static_cast<std::int32_t>(callee.code.size());
-    for (const Insn& c : callee.code) {
+    const auto continuation = bodyStart + static_cast<std::int32_t>(body);
+    for (std::size_t pc = 0; pc < body; ++pc) {
+      const Insn& c = callee.code[pc];
       Insn copy = c;
       if (copy.origin < 0) copy.origin = from;
       switch (c.op) {
-        case Op::LoadSlot: case Op::StoreSlot:
+        case Op::LoadSlot: case Op::StoreSlot: case Op::ZeroSlots:
           copy.a = base + c.a;
           break;
         case Op::Jmp: case Op::Jz: case Op::Jnz:
@@ -124,7 +130,7 @@ void inlineInto(FunctionCode& caller, const std::vector<FunctionCode>& fns,
           copy = make(Op::Jmp, continuation, c.weight, copy.origin);
           break;
         default:
-          SKELCL_CHECK(c.op < Op::PtrAddImm, "inlining runs before the peephole pass");
+          SKELCL_CHECK(c.op < Op::Mov, "inlining runs on stack code");
           break;
       }
       out.push_back(copy);
@@ -138,11 +144,11 @@ void inlineInto(FunctionCode& caller, const std::vector<FunctionCode>& fns,
 }  // namespace
 
 void inlineCalls(std::vector<FunctionCode>& fns) {
-  std::vector<char> inlinable(fns.size(), 0);
+  std::vector<std::size_t> bodySize(fns.size(), 0);
   // Post-order DFS over the call graph.  A call into a function that is
-  // visited but not yet analyzed (still on the DFS stack: a cycle) finds it
-  // not inlinable, so the call stays and every function on a cycle keeps a
-  // call.
+  // visited but not yet analyzed (still on the DFS stack: a cycle) finds its
+  // body size still 0 (not inlinable), so the call stays and every function
+  // on a cycle keeps a call.
   std::vector<char> visited(fns.size(), 0);
   const auto visit = [&](const auto& self, std::size_t f) -> void {
     visited[f] = 1;
@@ -150,8 +156,8 @@ void inlineCalls(std::vector<FunctionCode>& fns) {
       const auto callee = static_cast<std::size_t>(insn.a);
       if (insn.op == Op::CallFn && !visited[callee]) self(self, callee);
     }
-    inlineInto(fns[f], fns, inlinable);
-    inlinable[f] = isInlinable(fns[f], fns);
+    inlineInto(fns[f], fns, bodySize);
+    bodySize[f] = inlinedBodySize(fns[f], fns);
   };
   for (std::size_t f = 0; f < fns.size(); ++f) {
     if (!visited[f]) visit(visit, f);

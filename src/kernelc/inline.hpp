@@ -2,11 +2,12 @@
 // functions into their callers, as an OpenCL compiler does with the user
 // function SkelCL merges into each skeleton kernel (docs/VM.md).
 //
-// Runs on the naive Insn IR, after the compiler and before the peephole pass
-// (so superinstructions can fuse across the old call boundary).  Retired-
-// instruction counts are unchanged: the call's weight moves to the first
-// parameter store, each return becomes a Jmp carrying the return's weight,
-// and all other bookkeeping has weight 0.
+// Runs on the naive Insn IR, after the compiler and before the register
+// translation (encode.cpp), which then folds across the old call boundary.
+// Retired-instruction counts are unchanged: the call's weight moves to the
+// last argument's store, each return becomes a Jmp carrying the return's
+// weight, and all other bookkeeping (the other argument stores, one
+// ZeroSlots of the callee's locals) has weight 0.
 #pragma once
 
 #include <vector>

@@ -8,7 +8,6 @@
 #include "kernelc/inline.hpp"
 #include "kernelc/lexer.hpp"
 #include "kernelc/parser.hpp"
-#include "kernelc/peephole.hpp"
 #include "kernelc/preprocessor.hpp"
 #include "kernelc/sema.hpp"
 
@@ -46,7 +45,6 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   program->source = source;
   if (options.optimize) {
     inlineCalls(program->functions);
-    for (FunctionCode& fn : program->functions) peepholeOptimize(fn);
     finalizeFunctions(program->functions);
     program->optimized = true;
   }

@@ -12,8 +12,8 @@ namespace skelcl::kc {
 struct CompileOptions {
   /// false — reference: naive Insn stream on the guarded reference
   ///         interpreter.  The differential-testing oracle.
-  /// true  — optimized: inlined user functions + peephole superinstructions
-  ///         + packed 16-byte encoding, run on the work-group-batched
+  /// true  — optimized: inlined user functions translated to three-address
+  ///         register code (16-byte PackedInsn), run on the work-group-batched
   ///         interpreter where FunctionCode::batchable allows and on the
   ///         fast interpreter otherwise.
   /// Both produce bit-identical outputs and identical retired-instruction

@@ -32,9 +32,7 @@ Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
   for (const auto& r : globalRegions) regions_.push_back(r);
   frameArena_.resize(kFrameArenaBytes);
   if (program_.optimized) {
-    stackBuf_.resize(kMaxStack);
     slotArena_.resize(kSlotArenaSlots);
-    sp_ = stackBuf_.data();
   } else {
     stack_.reserve(1024);
   }
@@ -50,7 +48,7 @@ void Vm::fault(const std::string& message) const {
 }
 
 void Vm::attributeInlinedFault(const FunctionCode& fn, std::size_t pc) {
-  const std::int32_t origin = pc < fn.code.size() ? fn.code[pc].origin : -1;
+  const std::int32_t origin = pc < fn.packedOrigin.size() ? fn.packedOrigin[pc] : -1;
   if (origin < 0) return;
   currentFunction_ = origin;
   fault(faultMessage_);
@@ -79,21 +77,16 @@ void Vm::runKernel(int functionIndex, std::span<const Slot> args, std::int64_t g
   globalSize_ = globalSize;
   frameTop_ = 0;
   // Global regions were installed by the constructor and stay put; frame
-  // regions pushed beyond them are popped by execute() itself.
+  // regions pushed beyond them are popped by the executors themselves.
   if (program_.optimized) {
     slotTop_ = 0;
-    Slot* base = stackBuf_.data();
-    std::copy(args.begin(), args.end(), base);
-    sp_ = base + args.size();
-    execute(functionIndex, std::span<const Slot>(base, args.size()),
-            /*expectResult=*/false);
-    sp_ = base;
+    executeFast(functionIndex, args);
     return;
   }
   stack_.clear();
   for (const Slot& s : args) stack_.push_back(s);
-  execute(functionIndex, std::span<const Slot>(stack_.data(), args.size()),
-          /*expectResult=*/false);
+  executeRef(functionIndex, std::span<const Slot>(stack_.data(), args.size()),
+             /*expectResult=*/false);
   stack_.clear();
 }
 
@@ -106,30 +99,15 @@ Slot Vm::callFunction(int functionIndex, std::span<const Slot> args) {
   frameTop_ = 0;
   if (program_.optimized) {
     slotTop_ = 0;
-    Slot* base = stackBuf_.data();
-    std::copy(args.begin(), args.end(), base);
-    sp_ = base + args.size();
-    execute(functionIndex, std::span<const Slot>(base, args.size()),
-            /*expectResult=*/fn.returnType != types::Void);
-    Slot result = fn.returnType != types::Void ? sp_[-1] : Slot{};
-    sp_ = base;
-    return result;
+    return executeFast(functionIndex, args);
   }
   stack_.clear();
   for (const Slot& s : args) stack_.push_back(s);
-  execute(functionIndex, std::span<const Slot>(stack_.data(), args.size()),
-          /*expectResult=*/fn.returnType != types::Void);
+  executeRef(functionIndex, std::span<const Slot>(stack_.data(), args.size()),
+             /*expectResult=*/fn.returnType != types::Void);
   Slot result = fn.returnType != types::Void ? stack_.back() : Slot{};
   stack_.clear();
   return result;
-}
-
-void Vm::execute(int functionIndex, std::span<const Slot> args, bool expectResult) {
-  if (program_.optimized) {
-    executeFast(functionIndex, args, expectResult);
-  } else {
-    executeRef(functionIndex, args, expectResult);
-  }
 }
 
 // cmpHolds / ptrPlus moved to kernelc/vm_ops.hpp, shared with the batched
@@ -138,10 +116,10 @@ using detail::cmpHolds;
 using detail::ptrPlus;
 
 // ---------------------------------------------------------------------------
-// Fast path: PackedInsn dispatch, raw-pointer stack, slot arena.
+// Fast path: three-address register code over a frame's register file.
 // ---------------------------------------------------------------------------
 
-void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectResult) {
+Slot Vm::executeFast(int functionIndex, std::span<const Slot> args) {
   static thread_local std::size_t callDepth = 0;
   if (++callDepth > kMaxCallDepth) {
     --callDepth;
@@ -156,16 +134,22 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
   const int savedFunction = currentFunction_;
   currentFunction_ = functionIndex;
 
-  // Locals: a frame carved out of the preallocated slot arena (the reference
-  // path heap-allocates a vector here).  Zeroed to match vector<Slot>'s
-  // value-initialization, then parameters copied in.
+  // Register file carved out of the preallocated arena (the reference path
+  // heap-allocates its locals): slots zeroed to match vector<Slot>'s value-
+  // initialization with the parameters copied in, then the stack registers
+  // (always written before they are read), then the constants.
+  const std::size_t numRegs = static_cast<std::size_t>(fn.numRegs);
   const std::size_t numSlots = static_cast<std::size_t>(fn.numSlots);
-  if (slotTop_ + numSlots > slotArena_.size()) fault("local-slot arena exhausted");
-  Slot* slots = slotArena_.data() + slotTop_;
+  if (slotTop_ + numRegs > slotArena_.size()) fault("local-slot arena exhausted");
+  Slot* const R = slotArena_.data() + slotTop_;
   const std::size_t savedSlotTop = slotTop_;
-  slotTop_ += numSlots;
-  for (std::size_t s = args.size(); s < numSlots; ++s) slots[s] = Slot{};
-  std::copy(args.begin(), args.end(), slots);
+  slotTop_ += numRegs;
+  std::copy(args.begin(), args.end(), R);
+  for (std::size_t s = args.size(); s < numSlots; ++s) R[s] = Slot{};
+  if (!fn.pool.empty()) {
+    std::memcpy(static_cast<void*>(R + (numRegs - fn.pool.size())), fn.pool.data(),
+                fn.pool.size() * sizeof(Slot));
+  }
 
   // Frame memory region (for arrays / structs / addressed locals).
   const std::size_t frameRegionId = regions_.size();
@@ -192,20 +176,9 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
     }
   } frameGuard{*this, frameRegionId, savedFrameTop, savedSlotTop, fn.frameBytes > 0};
 
-  // One stack-overflow check per frame, against the compiler-computed
-  // worst-case growth; pushes below run unguarded.
-  Slot* const stackLow = stackBuf_.data();
-  Slot* const base = sp_;
-  if (static_cast<std::size_t>(base - stackLow) + static_cast<std::size_t>(fn.maxStack) >
-      kMaxStack) {
-    fault("operand stack overflow");
-  }
-
   const PackedInsn* const codeBase = fn.packed.data();
-  const std::uint64_t* const pool = fn.pool.data();
   const PackedInsn* ip = codeBase;
   const std::uint64_t budget = instructions_ + kMaxInstructionsPerItem;
-  Slot* sp = base;
 
   // Infinite-loop protection: the retired counter advances per instruction
   // (weights preserve naive counts), but the budget comparison happens only
@@ -213,363 +186,195 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
   const auto checkBudget = [&] {
     if (instructions_ > budget) fault("instruction budget exceeded (infinite loop?)");
   };
+  const auto jump = [&](std::int32_t target) {
+    if (target <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+    ip = codeBase + target;
+  };
 
   try {
     for (;;) {
       const PackedInsn insn = *ip++;
       instructions_ += insn.weight;
+      // Operands are read and written in place: R[insn.a], R[insn.b] and
+      // R[insn.k] below (register indices only where the opcode says so).
 
       switch (insn.op) {
-        case Op::PushI: *sp++ = Slot::fromInt(insn.a); break;
-        case Op::PushCI:
-          *sp++ = Slot::fromInt(static_cast<std::int64_t>(pool[insn.k]));
-          break;
-        case Op::PushCF: {
-          double v;
-          std::memcpy(&v, &pool[insn.k], sizeof v);
-          *sp++ = Slot::fromFloat(v);
-          break;
-        }
-        case Op::PushF:
-          fault("unpacked float immediate in packed code");
-          break;
-
-        case Op::LoadSlot: *sp++ = slots[insn.a]; break;
-        case Op::StoreSlot: slots[insn.a] = *--sp; break;
+        case Op::Mov: R[insn.k] = R[insn.a]; break;
+        case Op::ZeroSlots: std::fill(R + insn.a, R + insn.a + insn.b, Slot{}); break;
 
         case Op::LeaFrame: {
           Ptr p;
           p.region = static_cast<std::int32_t>(frameRegionId);
           p.offset = static_cast<std::uint32_t>(insn.a);
-          *sp++ = Slot::fromPtr(p);
+          R[insn.k] = Slot::fromPtr(p);
           break;
         }
 
-        case Op::LoadI32: {
-          const void* addr = resolve(sp[-1].p, 4);
-          std::int32_t v;
-          std::memcpy(&v, addr, 4);
-          sp[-1] = Slot::fromInt(v);
-          break;
-        }
-        case Op::LoadU32: {
-          const void* addr = resolve(sp[-1].p, 4);
-          std::uint32_t v;
-          std::memcpy(&v, addr, 4);
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
-          break;
-        }
-        case Op::LoadF32: {
-          const void* addr = resolve(sp[-1].p, 4);
-          float v;
-          std::memcpy(&v, addr, 4);
-          sp[-1] = Slot::fromFloat(v);
-          break;
-        }
-        case Op::LoadF64: {
-          const void* addr = resolve(sp[-1].p, 8);
-          double v;
-          std::memcpy(&v, addr, 8);
-          sp[-1] = Slot::fromFloat(v);
-          break;
-        }
-        case Op::LoadI64: {
-          const void* addr = resolve(sp[-1].p, 8);
-          std::int64_t v;
-          std::memcpy(&v, addr, 8);
-          sp[-1] = Slot::fromInt(v);
-          break;
-        }
-        case Op::StoreI32: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 4);
-          const auto v = static_cast<std::int32_t>(value.i);
-          std::memcpy(addr, &v, 4);
-          break;
-        }
-        case Op::StoreI64: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 8);
-          std::memcpy(addr, &value.i, 8);
-          break;
-        }
-        case Op::StoreF32: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 4);
-          const auto v = static_cast<float>(value.f);
-          std::memcpy(addr, &v, 4);
-          break;
-        }
-        case Op::StoreF64: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 8);
-          std::memcpy(addr, &value.f, 8);
-          break;
-        }
+  #define SKELCL_LOAD(OPNAME, CTYPE, BYTES, MAKE)     \
+    case Op::OPNAME: {                                \
+      const void* addr = resolve(R[insn.a].p, BYTES); \
+      CTYPE v;                                        \
+      std::memcpy(&v, addr, BYTES);                   \
+      R[insn.k] = Slot::MAKE(v);                      \
+      break;                                          \
+    }
+        SKELCL_LOAD(LoadI32, std::int32_t, 4, fromInt)
+        SKELCL_LOAD(LoadU32, std::uint32_t, 4, fromInt)
+        SKELCL_LOAD(LoadF32, float, 4, fromFloat)
+        SKELCL_LOAD(LoadF64, double, 8, fromFloat)
+        SKELCL_LOAD(LoadI64, std::int64_t, 8, fromInt)
+  #undef SKELCL_LOAD
+
+  #define SKELCL_STORE(OPNAME, CTYPE, BYTES, VALUE) \
+    case Op::OPNAME: {                              \
+      void* addr = resolve(R[insn.a].p, BYTES);     \
+      const CTYPE v = VALUE;                        \
+      std::memcpy(addr, &v, BYTES);                 \
+      break;                                        \
+    }
+        SKELCL_STORE(StoreI32, std::int32_t, 4, static_cast<std::int32_t>(R[insn.b].i))
+        SKELCL_STORE(StoreI64, std::int64_t, 8, R[insn.b].i)
+        SKELCL_STORE(StoreF32, float, 4, static_cast<float>(R[insn.b].f))
+        SKELCL_STORE(StoreF64, double, 8, R[insn.b].f)
+  #undef SKELCL_STORE
+
         case Op::MemCopy: {
-          const Ptr src = (*--sp).p;
-          const Ptr dst = (*--sp).p;
-          const auto bytes = static_cast<std::uint32_t>(insn.a);
-          void* d = resolve(dst, bytes);
-          const void* s = resolve(src, bytes);
+          const auto bytes = static_cast<std::uint32_t>(insn.k);
+          void* d = resolve(R[insn.a].p, bytes);
+          const void* s = resolve(R[insn.b].p, bytes);
           std::memmove(d, s, bytes);
           break;
         }
-        case Op::PtrAdd: {
-          const std::int64_t index = (*--sp).i;
-          sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, index, insn.a));
-          break;
-        }
-
-        // --- superinstructions ------------------------------------------------
-        case Op::PtrAddImm:
-          sp[-1] = Slot::fromPtr(ptrPlus(sp[-1].p, insn.b, insn.a));
+        case Op::PtrAdd:
+          R[insn.k] = Slot::fromPtr(ptrPlus(R[insn.a].p, R[insn.b].i, insn.c));
           break;
 
-  #define SKELCL_LOAD_ELEM(OPNAME, CTYPE, BYTES, MAKE)                         \
-    case Op::LoadElem##OPNAME: {                                               \
-      const std::int64_t index = (*--sp).i;                                    \
-      const void* addr = resolve(ptrPlus(sp[-1].p, index, insn.a), BYTES);     \
-      CTYPE v;                                                                 \
-      std::memcpy(&v, addr, BYTES);                                            \
-      sp[-1] = Slot::MAKE(v);                                                  \
-      break;                                                                   \
-    }                                                                          \
-    case Op::LoadSlotElem##OPNAME: {                                           \
-      const void* addr =                                                       \
-          resolve(ptrPlus(slots[insn.a].p, slots[insn.b].i, insn.c), BYTES);   \
-      CTYPE v;                                                                 \
-      std::memcpy(&v, addr, BYTES);                                            \
-      *sp++ = Slot::MAKE(v);                                                   \
-      break;                                                                   \
+  #define SKELCL_BIN_I(OPNAME, EXPR)                              \
+    case Op::OPNAME: {                                            \
+      const std::int64_t x = R[insn.a].i;                         \
+      const std::int64_t y = R[insn.b].i;                         \
+      (void)x;                                                    \
+      (void)y;                                                    \
+      R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(EXPR)); \
+      break;                                                      \
     }
-        SKELCL_LOAD_ELEM(I32, std::int32_t, 4, fromInt)
-        SKELCL_LOAD_ELEM(U32, std::uint32_t, 4, fromInt)
-        SKELCL_LOAD_ELEM(F32, float, 4, fromFloat)
-        SKELCL_LOAD_ELEM(F64, double, 8, fromFloat)
-        SKELCL_LOAD_ELEM(I64, std::int64_t, 8, fromInt)
-  #undef SKELCL_LOAD_ELEM
-
-        case Op::TeeStoreI32: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 4);
-          const auto v = static_cast<std::int32_t>(value.i);
-          std::memcpy(addr, &v, 4);
-          slots[insn.a] = value;
-          break;
-        }
-        case Op::TeeStoreI64: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 8);
-          std::memcpy(addr, &value.i, 8);
-          slots[insn.a] = value;
-          break;
-        }
-        case Op::TeeStoreF32: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 4);
-          const auto v = static_cast<float>(value.f);
-          std::memcpy(addr, &v, 4);
-          slots[insn.a] = value;
-          break;
-        }
-        case Op::TeeStoreF64: {
-          const Slot value = *--sp;
-          void* addr = resolve((*--sp).p, 8);
-          std::memcpy(addr, &value.f, 8);
-          slots[insn.a] = value;
-          break;
-        }
-
-        case Op::IncSlotI:
-          slots[insn.a].i = static_cast<std::int32_t>(slots[insn.a].i + insn.b);
-          break;
-
-        case Op::LoadSlot2:
-          sp[0] = slots[insn.a];
-          sp[1] = slots[insn.b];
-          sp += 2;
-          break;
-
-        case Op::CmpJz: {
-          const Slot b = *--sp;
-          const Slot a = *--sp;
-          if (!cmpHolds(static_cast<Op>(insn.c), a, b)) {
-            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-            ip = codeBase + insn.a;
-          }
-          break;
-        }
-        case Op::CmpJnz: {
-          const Slot b = *--sp;
-          const Slot a = *--sp;
-          if (cmpHolds(static_cast<Op>(insn.c), a, b)) {
-            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-            ip = codeBase + insn.a;
-          }
-          break;
-        }
-        // --- end superinstructions --------------------------------------------
-
-  #define SKELCL_BIN_I(OPNAME, EXPR)                                         \
-    case Op::OPNAME: {                                                       \
-      const std::int64_t b = (*--sp).i;                                      \
-      const std::int64_t a = sp[-1].i;                                       \
-      (void)a;                                                               \
-      (void)b;                                                               \
-      sp[-1] = Slot::fromInt(static_cast<std::int32_t>(EXPR));               \
-      break;                                                                 \
-    }
-        SKELCL_BIN_I(AddI, a + b)
-        SKELCL_BIN_I(SubI, a - b)
-        SKELCL_BIN_I(MulI, a * b)
-        SKELCL_BIN_I(AndI, a & b)
-        SKELCL_BIN_I(OrI, a | b)
-        SKELCL_BIN_I(XorI, a ^ b)
-        SKELCL_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
-                                                     << (static_cast<std::uint32_t>(b) & 31u)))
-        SKELCL_BIN_I(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-        SKELCL_BIN_I(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
+        SKELCL_BIN_I(AddI, x + y)
+        SKELCL_BIN_I(SubI, x - y)
+        SKELCL_BIN_I(MulI, x * y)
+        SKELCL_BIN_I(AndI, x & y)
+        SKELCL_BIN_I(OrI, x | y)
+        SKELCL_BIN_I(XorI, x ^ y)
+        SKELCL_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(x)
+                                                     << (static_cast<std::uint32_t>(y) & 31u)))
+        SKELCL_BIN_I(ShrI, static_cast<std::int32_t>(x) >> (static_cast<std::uint32_t>(y) & 31u))
+        SKELCL_BIN_I(ShrU, static_cast<std::uint32_t>(x) >> (static_cast<std::uint32_t>(y) & 31u))
   #undef SKELCL_BIN_I
 
-        case Op::DivI: {
-          const std::int64_t b = (*--sp).i;
-          const std::int64_t a = sp[-1].i;
-          if (b == 0) fault("integer division by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a / b));
+        case Op::DivI:
+          if (R[insn.b].i == 0) fault("integer division by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(R[insn.a].i / R[insn.b].i));
           break;
-        }
-        case Op::RemI: {
-          const std::int64_t b = (*--sp).i;
-          const std::int64_t a = sp[-1].i;
-          if (b == 0) fault("integer remainder by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a % b));
+        case Op::RemI:
+          if (R[insn.b].i == 0) fault("integer remainder by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(R[insn.a].i % R[insn.b].i));
           break;
-        }
         case Op::DivU: {
-          const auto b = static_cast<std::uint32_t>((*--sp).i);
-          const auto a = static_cast<std::uint32_t>(sp[-1].i);
-          if (b == 0) fault("integer division by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
+          const auto y = static_cast<std::uint32_t>(R[insn.b].i);
+          if (y == 0) fault("integer division by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(R[insn.a].i) / y));
           break;
         }
         case Op::RemU: {
-          const auto b = static_cast<std::uint32_t>((*--sp).i);
-          const auto a = static_cast<std::uint32_t>(sp[-1].i);
-          if (b == 0) fault("integer remainder by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
+          const auto y = static_cast<std::uint32_t>(R[insn.b].i);
+          if (y == 0) fault("integer remainder by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(R[insn.a].i) % y));
           break;
         }
-        case Op::NegI:
-          sp[-1].i = static_cast<std::int32_t>(-sp[-1].i);
-          break;
-        case Op::NotI:
-          sp[-1].i = static_cast<std::int32_t>(~sp[-1].i);
-          break;
+        case Op::NegI: R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(-R[insn.a].i)); break;
+        case Op::NotI: R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(~R[insn.a].i)); break;
 
-  #define SKELCL_BIN_L(OPNAME, EXPR)                                         \
-    case Op::OPNAME: {                                                       \
-      const std::int64_t b = (*--sp).i;                                      \
-      const std::int64_t a = sp[-1].i;                                       \
-      (void)a;                                                               \
-      (void)b;                                                               \
-      sp[-1] = Slot::fromInt(static_cast<std::int64_t>(EXPR));               \
-      break;                                                                 \
+  #define SKELCL_BIN_L(OPNAME, EXPR)                              \
+    case Op::OPNAME: {                                            \
+      const std::int64_t x = R[insn.a].i;                         \
+      const std::int64_t y = R[insn.b].i;                         \
+      (void)x;                                                    \
+      (void)y;                                                    \
+      R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(EXPR)); \
+      break;                                                      \
     }
-        SKELCL_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
-        SKELCL_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
-        SKELCL_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
-        SKELCL_BIN_L(AndL, a & b)
-        SKELCL_BIN_L(OrL, a | b)
-        SKELCL_BIN_L(XorL, a ^ b)
-        SKELCL_BIN_L(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
-        SKELCL_BIN_L(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
-        SKELCL_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
+        SKELCL_BIN_L(AddL, static_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(y))
+        SKELCL_BIN_L(SubL, static_cast<std::uint64_t>(x) - static_cast<std::uint64_t>(y))
+        SKELCL_BIN_L(MulL, static_cast<std::uint64_t>(x) * static_cast<std::uint64_t>(y))
+        SKELCL_BIN_L(AndL, x & y)
+        SKELCL_BIN_L(OrL, x | y)
+        SKELCL_BIN_L(XorL, x ^ y)
+        SKELCL_BIN_L(ShlL, static_cast<std::uint64_t>(x) << (static_cast<std::uint64_t>(y) & 63u))
+        SKELCL_BIN_L(ShrL, x >> (static_cast<std::uint64_t>(y) & 63u))
+        SKELCL_BIN_L(ShrUL, static_cast<std::uint64_t>(x) >> (static_cast<std::uint64_t>(y) & 63u))
   #undef SKELCL_BIN_L
 
         case Op::DivL: {
-          const std::int64_t b = (*--sp).i;
-          const std::int64_t a = sp[-1].i;
-          if (b == 0) fault("integer division by zero");
-          if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-            sp[-1] = Slot::fromInt(a);  // wrap, matching 2's-complement overflow
-          } else {
-            sp[-1] = Slot::fromInt(a / b);
-          }
+          const std::int64_t x = R[insn.a].i;
+          const std::int64_t y = R[insn.b].i;
+          if (y == 0) fault("integer division by zero");
+          // wrap, matching 2's-complement overflow
+          R[insn.k] = Slot::fromInt(y == -1 && x == std::numeric_limits<std::int64_t>::min() ? x
+                                                                                      : x / y);
           break;
         }
         case Op::RemL: {
-          const std::int64_t b = (*--sp).i;
-          const std::int64_t a = sp[-1].i;
-          if (b == 0) fault("integer remainder by zero");
-          if (b == -1) {
-            sp[-1] = Slot::fromInt(std::int64_t{0});
-          } else {
-            sp[-1] = Slot::fromInt(a % b);
-          }
+          const std::int64_t y = R[insn.b].i;
+          if (y == 0) fault("integer remainder by zero");
+          R[insn.k] = Slot::fromInt(y == -1 ? std::int64_t{0} : R[insn.a].i % y);
           break;
         }
         case Op::DivUL: {
-          const auto b = static_cast<std::uint64_t>((*--sp).i);
-          const auto a = static_cast<std::uint64_t>(sp[-1].i);
-          if (b == 0) fault("integer division by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
+          const auto y = static_cast<std::uint64_t>(R[insn.b].i);
+          if (y == 0) fault("integer division by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(R[insn.a].i) / y));
           break;
         }
         case Op::RemUL: {
-          const auto b = static_cast<std::uint64_t>((*--sp).i);
-          const auto a = static_cast<std::uint64_t>(sp[-1].i);
-          if (b == 0) fault("integer remainder by zero");
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
+          const auto y = static_cast<std::uint64_t>(R[insn.b].i);
+          if (y == 0) fault("integer remainder by zero");
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(R[insn.a].i) % y));
           break;
         }
         case Op::NegL:
-          sp[-1].i = static_cast<std::int64_t>(-static_cast<std::uint64_t>(sp[-1].i));
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(-static_cast<std::uint64_t>(R[insn.a].i)));
           break;
-        case Op::NotL:
-          sp[-1].i = ~sp[-1].i;
-          break;
+        case Op::NotL: R[insn.k] = Slot::fromInt(~R[insn.a].i); break;
 
-  #define SKELCL_BIN_F32(OPNAME, OPERATOR)                                            \
-    case Op::OPNAME: {                                                                \
-      const double b = (*--sp).f;                                                     \
-      const double a = sp[-1].f;                                                      \
-      sp[-1] = Slot::fromFloat(static_cast<float>(static_cast<float>(a)               \
-                                                      OPERATOR static_cast<float>(b))); \
-      break;                                                                          \
-    }
+  #define SKELCL_BIN_F32(OPNAME, OPERATOR)                                                     \
+    case Op::OPNAME:                                                                           \
+      R[insn.k] = Slot::fromFloat(static_cast<float>(static_cast<float>(R[insn.a].f)           \
+                                                   OPERATOR static_cast<float>(R[insn.b].f))); \
+      break;
         SKELCL_BIN_F32(AddF32, +)
         SKELCL_BIN_F32(SubF32, -)
         SKELCL_BIN_F32(MulF32, *)
         SKELCL_BIN_F32(DivF32, /)
   #undef SKELCL_BIN_F32
 
-  #define SKELCL_BIN_F64(OPNAME, OPERATOR)       \
-    case Op::OPNAME: {                           \
-      const double b = (*--sp).f;                \
-      const double a = sp[-1].f;                 \
-      sp[-1] = Slot::fromFloat(a OPERATOR b);    \
-      break;                                     \
-    }
+  #define SKELCL_BIN_F64(OPNAME, OPERATOR)                           \
+    case Op::OPNAME:                                                 \
+      R[insn.k] = Slot::fromFloat(R[insn.a].f OPERATOR R[insn.b].f); \
+      break;
         SKELCL_BIN_F64(AddF64, +)
         SKELCL_BIN_F64(SubF64, -)
         SKELCL_BIN_F64(MulF64, *)
         SKELCL_BIN_F64(DivF64, /)
   #undef SKELCL_BIN_F64
 
-        case Op::NegF32:
-          sp[-1].f = -static_cast<float>(sp[-1].f);
-          break;
-        case Op::NegF64:
-          sp[-1].f = -sp[-1].f;
-          break;
+        case Op::NegF32: R[insn.k] = Slot::fromFloat(-static_cast<float>(R[insn.a].f)); break;
+        case Op::NegF64: R[insn.k] = Slot::fromFloat(-R[insn.a].f); break;
 
-  #define SKELCL_CMP(OPNAME, TYPE, FIELD, OPERATOR)                  \
-    case Op::OPNAME: {                                               \
-      const auto b = static_cast<TYPE>((*--sp).FIELD);               \
-      const auto a = static_cast<TYPE>(sp[-1].FIELD);                \
-      sp[-1] = Slot::fromInt((a OPERATOR b) ? 1 : 0);                \
-      break;                                                         \
+  #define SKELCL_CMP(OPNAME, TYPE, FIELD, OPERATOR)      \
+    case Op::OPNAME: {                                   \
+      const auto x = static_cast<TYPE>(R[insn.a].FIELD); \
+      const auto y = static_cast<TYPE>(R[insn.b].FIELD); \
+      R[insn.k] = Slot::fromInt((x OPERATOR y) ? 1 : 0); \
+      break;                                             \
     }
         SKELCL_CMP(EqI, std::int64_t, i, ==)
         SKELCL_CMP(NeI, std::int64_t, i, !=)
@@ -592,147 +397,89 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
         SKELCL_CMP(GtF, double, f, >)
         SKELCL_CMP(GeF, double, f, >=)
   #undef SKELCL_CMP
-
-        case Op::EqP: {
-          const Ptr b = (*--sp).p;
-          const Ptr a = sp[-1].p;
-          sp[-1] = Slot::fromInt((a.region == b.region && a.offset == b.offset) ? 1 : 0);
+        case Op::EqP: case Op::NeP:
+          R[insn.k] = Slot::fromInt(cmpHolds(insn.op, R[insn.a], R[insn.b]) ? 1 : 0);
           break;
-        }
-        case Op::NeP: {
-          const Ptr b = (*--sp).p;
-          const Ptr a = sp[-1].p;
-          sp[-1] = Slot::fromInt((a.region != b.region || a.offset != b.offset) ? 1 : 0);
-          break;
-        }
-        case Op::LNot:
-          sp[-1].i = sp[-1].i == 0 ? 1 : 0;
-          break;
+        case Op::LNot: R[insn.k] = Slot::fromInt(R[insn.a].i == 0 ? 1 : 0); break;
 
         case Op::I2F32:
-          sp[-1] = Slot::fromFloat(
-              static_cast<float>(static_cast<std::int64_t>(sp[-1].i)));
+          R[insn.k] = Slot::fromFloat(static_cast<float>(static_cast<std::int64_t>(R[insn.a].i)));
           break;
-        case Op::I2F64:
-          sp[-1] = Slot::fromFloat(static_cast<double>(sp[-1].i));
-          break;
+        case Op::I2F64: R[insn.k] = Slot::fromFloat(static_cast<double>(R[insn.a].i)); break;
         case Op::U2F32:
-          sp[-1] = Slot::fromFloat(
-              static_cast<float>(static_cast<std::uint32_t>(sp[-1].i)));
+          R[insn.k] = Slot::fromFloat(static_cast<float>(static_cast<std::uint32_t>(R[insn.a].i)));
           break;
         case Op::U2F64:
-          sp[-1] = Slot::fromFloat(
-              static_cast<double>(static_cast<std::uint32_t>(sp[-1].i)));
+          R[insn.k] = Slot::fromFloat(static_cast<double>(static_cast<std::uint32_t>(R[insn.a].i)));
           break;
         case Op::UL2F32:
-          sp[-1] = Slot::fromFloat(
-              static_cast<float>(static_cast<std::uint64_t>(sp[-1].i)));
+          R[insn.k] = Slot::fromFloat(static_cast<float>(static_cast<std::uint64_t>(R[insn.a].i)));
           break;
         case Op::UL2F64:
-          sp[-1] = Slot::fromFloat(
-              static_cast<double>(static_cast<std::uint64_t>(sp[-1].i)));
+          R[insn.k] = Slot::fromFloat(static_cast<double>(static_cast<std::uint64_t>(R[insn.a].i)));
           break;
-        case Op::F2I: {
-          const double v = sp[-1].f;
-          sp[-1] = Slot::fromInt(static_cast<std::int32_t>(v));
+        case Op::F2I: R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(R[insn.a].f)); break;
+        case Op::F2L: R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(R[insn.a].f)); break;
+        case Op::F2UL:
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(R[insn.a].f)));
           break;
-        }
-        case Op::F2L: {
-          const double v = sp[-1].f;
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
+        case Op::F2U:
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(R[insn.a].f)));
           break;
-        }
-        case Op::F2UL: {
-          const double v = sp[-1].f;
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
-          break;
-        }
-        case Op::F2U: {
-          const double v = sp[-1].f;
-          sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(v)));
-          break;
-        }
-        case Op::F64toF32:
-          sp[-1].f = static_cast<float>(sp[-1].f);
-          break;
+        case Op::F64toF32: R[insn.k] = Slot::fromFloat(static_cast<float>(R[insn.a].f)); break;
         case Op::I2U:
-          sp[-1].i = static_cast<std::int64_t>(static_cast<std::uint32_t>(sp[-1].i));
+          R[insn.k] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(R[insn.a].i)));
           break;
         case Op::U2I:
-          sp[-1].i = static_cast<std::int32_t>(static_cast<std::uint32_t>(sp[-1].i));
+          R[insn.k] = Slot::fromInt(static_cast<std::int32_t>(static_cast<std::uint32_t>(R[insn.a].i)));
           break;
-        case Op::BoolNorm:
-          sp[-1].i = sp[-1].i != 0 ? 1 : 0;
-          break;
+        case Op::BoolNorm: R[insn.k] = Slot::fromInt(R[insn.a].i != 0 ? 1 : 0); break;
 
-        case Op::Jmp:
-          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-          ip = codeBase + insn.a;
-          break;
+        case Op::Jmp: jump(insn.k); break;
         case Op::Jz:
-          if ((*--sp).i == 0) {
-            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-            ip = codeBase + insn.a;
-          }
+          if (R[insn.a].i == 0) jump(insn.k);
           break;
         case Op::Jnz:
-          if ((*--sp).i != 0) {
-            if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
-            ip = codeBase + insn.a;
-          }
+          if (R[insn.a].i != 0) jump(insn.k);
+          break;
+        case Op::CmpJz:
+          if (!cmpHolds(static_cast<Op>(insn.c), R[insn.a], R[insn.b])) jump(insn.k);
+          break;
+        case Op::CmpJnz:
+          if (cmpHolds(static_cast<Op>(insn.c), R[insn.a], R[insn.b])) jump(insn.k);
           break;
 
         case Op::CallFn: {
           checkBudget();
           const auto& callee = program_.functions[static_cast<std::size_t>(insn.a)];
-          const std::size_t argc = callee.paramTypes.size();
-          const bool hasResult = callee.returnType != types::Void;
-          sp_ = sp;
-          // The callee pushes its result (if any) at `sp`, above the args; move
-          // it down over the consumed arguments.
-          executeFast(insn.a, std::span<const Slot>(sp - argc, argc), hasResult);
-          if (hasResult) {
-            const Slot result = sp[0];
-            sp -= argc;
-            *sp++ = result;
-          } else {
-            sp -= argc;
-          }
+          const Slot result =
+              executeFast(insn.a, std::span<const Slot>(R + insn.b, callee.paramTypes.size()));
+          if (callee.returnType != types::Void) R[insn.k] = result;
           break;
         }
         case Op::CallBuiltin: {
           checkBudget();
-          const BuiltinDef& def = builtins_[insn.a];
-          const std::size_t argc = static_cast<std::size_t>(insn.b);
-          sp -= argc;
-          const Slot result = def.fn(*this, sp);
-          if (def.ret != BType::Void) *sp++ = result;
+          const BuiltinDef& def = builtins_[insn.c];
+          const Slot pair[2] = {R[insn.a], R[insn.b]};
+          const Slot result = def.fn(*this, def.params.size() <= 2 ? pair : R + insn.a);
+          if (def.ret != BType::Void) R[insn.k] = result;
           break;
         }
 
-        case Op::Ret: {
-          const Slot result = *--sp;
-          sp = base;
-          if (expectResult) *sp++ = result;
-          sp_ = sp;
+        case Op::Ret:
           currentFunction_ = savedFunction;
-          return;
-        }
+          return R[insn.a];
         case Op::RetVoid:
-          sp_ = base;
           currentFunction_ = savedFunction;
-          return;
-
-        case Op::Dup:
-          sp[0] = sp[-1];
-          ++sp;
-          break;
-        case Op::Drop:
-          --sp;
-          break;
+          return Slot{};
 
         case Op::Trap:
           fault("non-void function reached the end without returning a value");
+
+        // Stack-code opcodes never survive the register translation.
+        case Op::PushI: case Op::PushF: case Op::LoadSlot: case Op::StoreSlot:
+        case Op::Dup: case Op::Drop:
+          fault("stack instruction in register code");
       }
     }
   } catch (const VmError&) {
@@ -1224,17 +971,8 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
 
       // The reference interpreter runs the naive pipeline only; optimized
       // programs always dispatch through executeFast.
-      case Op::PtrAddImm:
-      case Op::LoadElemI32: case Op::LoadElemU32: case Op::LoadElemF32:
-      case Op::LoadElemF64: case Op::LoadElemI64:
-      case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
-      case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
-      case Op::TeeStoreI32: case Op::TeeStoreI64: case Op::TeeStoreF32:
-      case Op::TeeStoreF64:
-      case Op::IncSlotI: case Op::LoadSlot2: case Op::CmpJz: case Op::CmpJnz:
-      case Op::PushCI: case Op::PushCF:
-        fault("superinstruction reached the reference interpreter "
-              "(recompile without the peephole pass)");
+      case Op::ZeroSlots: case Op::Mov: case Op::CmpJz: case Op::CmpJnz:
+        fault("optimized-pipeline instruction reached the reference interpreter");
         break;
     }
   }

@@ -4,17 +4,17 @@
 // executed-instruction count feeds the device cost model in sim::System.
 //
 // Three interpreter paths share this class (docs/VM.md):
-//  - the *fast* path runs optimized programs' compact 16-byte PackedInsn
-//    encoding with a preallocated slot arena, a raw-pointer operand stack
-//    guarded once per frame by the compiler-computed maxStack, and
-//    infinite-loop budget checks on back-edges and calls only;
-//  - the *batched* path (runKernelBatch, vm_batch.cpp) runs the same
-//    encoding over a whole work-group per opcode decode;
-//  - the *reference* path (SKELCL_KC_OPT=0) interprets the 32-byte Insn IR
-//    with per-push guards and per-call heap-allocated locals, exactly as the
-//    original interpreter did.
-// All retire identical instruction counts (superinstructions carry the
-// weight of the naive window they replace) and produce bit-identical data.
+//  - the *fast* path runs optimized programs' 16-byte three-address register
+//    code (PackedInsn) on a register file carved from a preallocated arena,
+//    with infinite-loop budget checks on back-edges and calls only;
+//  - the *batched* path (runKernelBatch, vm_batch.cpp) runs the same code
+//    over a whole work-group per opcode decode;
+//  - the *reference* path (SKELCL_KC_OPT=0) interprets the 32-byte stack
+//    Insn IR with per-push guards and per-call heap-allocated locals,
+//    exactly as the original interpreter did.
+// All retire identical instruction counts (each register instruction
+// carries the weight of the stack instructions folded into it) and produce
+// bit-identical data.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +42,7 @@ struct CompiledProgram {
   std::vector<FunctionCode> functions;
   std::uint64_t complexity = 0;  ///< token count; drives the compile-cost model
   std::string source;
-  /// True when the optimized pipeline ran (peephole + packed encoding); the
+  /// True when the optimized pipeline ran (inlining + register code); the
   /// VM picks its interpreter path from this, and the device queue runs
   /// optimized programs work-group-batched.
   bool optimized = false;
@@ -89,8 +89,8 @@ class Vm final : public BuiltinCtx {
   Slot callFunction(int functionIndex, std::span<const Slot> args);
 
   /// Executed-instruction counter (accumulates across runs; reset manually).
-  /// Superinstructions count as the number of naive instructions they retire,
-  /// so this is identical between the fast and reference paths.
+  /// Register instructions count as the number of stack instructions they
+  /// retire, so this is identical between the fast and reference paths.
   std::uint64_t instructionsExecuted() const { return instructions_; }
   void resetInstructionCount() { instructions_ = 0; }
 
@@ -103,9 +103,9 @@ class Vm final : public BuiltinCtx {
   static constexpr std::uint64_t kMaxInstructionsPerItem = 1ull << 30;
 
  private:
-  void execute(int functionIndex, std::span<const Slot> args, bool expectResult);
   void executeRef(int functionIndex, std::span<const Slot> args, bool expectResult);
-  void executeFast(int functionIndex, std::span<const Slot> args, bool expectResult);
+  /// Run one frame of register code; returns its result (Slot{} if void).
+  Slot executeFast(int functionIndex, std::span<const Slot> args);
   void executeBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
                     std::int64_t count);
 
@@ -122,10 +122,8 @@ class Vm final : public BuiltinCtx {
   // reference path: growable operand stack with per-push guards
   std::vector<Slot> stack_;
 
-  // fast path: fixed operand stack (guarded once per frame via maxStack) and
-  // a slot arena replacing per-call heap-allocated locals
-  std::vector<Slot> stackBuf_;
-  Slot* sp_ = nullptr;
+  // fast path: register files carved from one arena, replacing per-call
+  // heap-allocated locals and the operand stack
   std::vector<Slot> slotArena_;
   std::size_t slotTop_ = 0;
 
@@ -133,11 +131,10 @@ class Vm final : public BuiltinCtx {
   std::vector<std::byte> frameArena_;
   std::uint64_t frameTop_ = 0;
 
-  // batched path: lane-strided slot and operand-stack arenas, allocated on
-  // first runKernelBatch use.  Slot s of lane l lives at batchSlots_[s*n + l];
-  // stack depth d of lane l at batchStack_[d*n + l] (n = lanes this batch).
-  std::vector<Slot> batchSlots_;
-  std::vector<Slot> batchStack_;
+  // batched path: lane-strided register columns, allocated on first
+  // runKernelBatch use.  Register r of lane l lives at batchRegs_[r*n + l]
+  // (n = lanes this batch).
+  std::vector<Slot> batchRegs_;
 
   std::int64_t globalId_ = 0;
   std::int64_t globalSize_ = 1;
@@ -148,7 +145,10 @@ class Vm final : public BuiltinCtx {
   static constexpr std::size_t kMaxStack = 1 << 16;
   static constexpr std::size_t kMaxCallDepth = 200;
   static constexpr std::size_t kFrameArenaBytes = 1 << 20;
-  static constexpr std::size_t kSlotArenaSlots = 1 << 15;
+  /// A register file holds a frame's slots and its operand stack, so the
+  /// arena has room for 2^15 slots plus kMaxStack (the reference path's
+  /// operand-stack limit).
+  static constexpr std::size_t kSlotArenaSlots = (1 << 15) + kMaxStack;
 };
 
 }  // namespace skelcl::kc

@@ -1,7 +1,7 @@
 // Work-group-batched execution (docs/VM.md): the dispatch loop is
 // inverted — one opcode decode drives every live work-item ("lane") of a
 // group through the operation before moving to the next instruction, over
-// lane-strided slot/stack arenas.  Straight-line and uniformly-looping
+// lane-strided register columns.  Straight-line and uniformly-looping
 // bodies run as tight, auto-vectorizable inner loops; divergent branches
 // split the group into lane subsets (no reconvergence).
 //
@@ -18,7 +18,8 @@
 //  * Lane compaction.  Every group owns a contiguous lane range
 //    [off, off+cnt) of the arenas at all times.  A divergent branch
 //    physically partitions the group's segment of every live column (all
-//    slots plus the stack below the branch) so stay-lanes keep the front
+//    slots plus the stack registers below the branch's stack height, which
+//    FunctionCode::branchHeight records) so stay-lanes keep the front
 //    and taken-lanes become a contiguous pending group behind them.  Work-
 //    item identity moves with the lane in laneGid, so get_global_id and
 //    fault messages stay exact.  The payoff: no sparse index indirection
@@ -26,11 +27,14 @@
 //    vectorize, even deep into divergence.
 //
 // Invariants relied on:
-//  - The encoder's computeMaxStack proves the operand-stack height at each
-//    pc is unique, so one `sp` per group is exact.  Stack columns below a
-//    split are live in both child groups; the partition permutes them with
-//    the same mask, so each logical lane keeps its values.  Sibling groups
-//    occupy disjoint segments and never interfere.
+//  - The register translation gives each operand-stack height its own
+//    register and leaves every live stack value in it at block boundaries,
+//    so the registers live at a branch are the slots plus the stack
+//    registers below its height.  They are live in both child groups; the
+//    partition permutes them with the same mask, so each logical lane keeps
+//    its values.  Constant registers hold the same value in every lane and
+//    are not permuted.  Sibling groups occupy disjoint segments and never
+//    interfere.
 //  - Retired counts: `instructions_` advances by weight x live-lane-count per
 //    instruction, which equals the sum over lanes of the sequential count —
 //    bit-identical accounting on every control path.
@@ -66,6 +70,13 @@ inline const std::int64_t* iCol(const Slot* c) {
 inline double* fCol(Slot* c) { return reinterpret_cast<double*>(c); }
 inline std::uint64_t* rawCol(Slot* c) { return reinterpret_cast<std::uint64_t*>(c); }
 
+/// dst[l] = f(a[l], b[l]) over a group's lanes.  Register columns are either
+/// disjoint or identical, so an in-place update (dst == a) is element-wise.
+template <typename T, typename F>
+inline void laneLoop(T* dst, const T* a, const T* b, std::int32_t cnt, F f) {
+  for (std::int32_t l = 0; l < cnt; ++l) dst[l] = f(a[l], b[l]);
+}
+
 }  // namespace
 
 void Vm::runKernelBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
@@ -92,24 +103,34 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   currentFunction_ = functionIndex;
 
   const std::int32_t n = static_cast<std::int32_t>(count);
+  const auto stride = static_cast<std::size_t>(n);
   const std::size_t numSlots = static_cast<std::size_t>(fn.numSlots);
+  const std::size_t numRegs = static_cast<std::size_t>(fn.numRegs);
 
-  // Lane-strided arenas: slot s of lane l at batchSlots_[s*n + l], stack
-  // depth d of lane l at batchStack_[d*n + l].  Slots zeroed to match the
-  // sequential paths' value-initialization; arguments broadcast per lane.
-  batchSlots_.assign(numSlots * static_cast<std::size_t>(n), Slot{});
-  batchStack_.resize(static_cast<std::size_t>(fn.maxStack) * static_cast<std::size_t>(n) + 1);
-  for (std::size_t s = 0; s < args.size(); ++s) {
-    Slot* col = batchSlots_.data() + s * static_cast<std::size_t>(n);
-    for (std::int32_t l = 0; l < n; ++l) col[l] = args[s];
+  // Lane-strided register columns: register r of lane l at batchRegs_[r*n + l].
+  // Slots zeroed to match the sequential paths' value-initialization,
+  // arguments and constants broadcast once per batch; the stack registers
+  // are always written before they are read.
+  batchRegs_.resize(numRegs * stride);
+  std::fill(batchRegs_.begin(), batchRegs_.begin() + static_cast<std::ptrdiff_t>(numSlots * stride),
+            Slot{});
+  const auto broadcast = [&](std::size_t reg, Slot v) {
+    Slot* col = batchRegs_.data() + reg * stride;
+    for (std::int32_t l = 0; l < n; ++l) col[l] = v;
+  };
+  for (std::size_t s = 0; s < args.size(); ++s) broadcast(s, args[s]);
+  const std::size_t constBase = numRegs - fn.pool.size();
+  for (std::size_t c = 0; c < fn.pool.size(); ++c) {
+    Slot v;
+    v.i = static_cast<std::int64_t>(fn.pool[c]);
+    broadcast(constBase + c, v);
   }
   // Work-item id of each physical lane; permuted alongside the columns on
   // divergent splits, so lane -> gid stays exact under compaction.
   std::int64_t laneGid[kBatchLanes];
   for (std::int32_t l = 0; l < n; ++l) laneGid[l] = gidBase + l;
 
-  Slot* const slotBase = batchSlots_.data();
-  Slot* const stackBase = batchStack_.data();
+  Slot* const regBase = batchRegs_.data();
 
   // Bounds-check fast path.  Batchable kernels push no frame regions and make
   // no calls, so the region table cannot change under us.  The cold branch
@@ -132,7 +153,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   /// along this path, inherited on splits — the sequential per-item budget.
   struct Group {
     std::int32_t ip;
-    std::int32_t sp;
     std::int32_t off;
     std::int32_t cnt;
     std::uint64_t retired;
@@ -146,18 +166,13 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   std::int32_t laneOff = 0;
   std::int32_t laneCount = n;
   std::int32_t ip = 0;
-  std::int32_t sp = 0;
   std::uint64_t retired = 0;
 
   const PackedInsn* const codeBase = fn.packed.data();
-  const std::uint64_t* const pool = fn.pool.data();
 
   // Column base of the current group's segment: unit-stride over [0, cnt).
-  const auto slotCol = [&](std::int32_t s) {
-    return slotBase + static_cast<std::size_t>(s) * static_cast<std::size_t>(n) + laneOff;
-  };
-  const auto stackCol = [&](std::int32_t d) {
-    return stackBase + static_cast<std::size_t>(d) * static_cast<std::size_t>(n) + laneOff;
+  const auto col = [&](std::int32_t r) {
+    return regBase + static_cast<std::size_t>(r) * stride + laneOff;
   };
 
   const auto checkBudget = [&](std::uint64_t pathRetired) {
@@ -177,100 +192,33 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       const std::int32_t cnt = laneCount;
 
       switch (insn.op) {
-        case Op::PushI: {
-          const std::int64_t v = insn.a;
-          std::int64_t* col = iCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
-          ++sp;
+        case Op::Mov: {
+          const std::uint64_t* src = rawCol(col(insn.a));
+          std::uint64_t* dst = rawCol(col(insn.k));
+          for (std::int32_t l = 0; l < cnt; ++l) dst[l] = src[l];
           break;
         }
-        case Op::PushCI: {
-          const std::int64_t v = static_cast<std::int64_t>(pool[insn.k]);
-          std::int64_t* col = iCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
-          ++sp;
-          break;
-        }
-        case Op::PushCF: {
-          double v;
-          std::memcpy(&v, &pool[insn.k], sizeof v);
-          double* col = fCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
-          ++sp;
-          break;
-        }
-
-        case Op::LoadSlot: {
-          const std::uint64_t* src = rawCol(slotCol(insn.a));
-          std::uint64_t* col = rawCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = src[l];
-          ++sp;
-          break;
-        }
-        case Op::StoreSlot: {
-          --sp;
-          const std::uint64_t* col = rawCol(stackCol(sp));
-          std::uint64_t* dst = rawCol(slotCol(insn.a));
-          for (std::int32_t l = 0; l < cnt; ++l) dst[l] = col[l];
-          break;
-        }
-        case Op::LoadSlot2: {
-          const std::uint64_t* sa = rawCol(slotCol(insn.a));
-          const std::uint64_t* sb = rawCol(slotCol(insn.b));
-          std::uint64_t* ca = rawCol(stackCol(sp));
-          std::uint64_t* cb = rawCol(stackCol(sp + 1));
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            ca[l] = sa[l];
-            cb[l] = sb[l];
+        case Op::ZeroSlots:
+          for (std::int32_t r = insn.a; r < insn.a + insn.b; ++r) {
+            std::int64_t* dst = iCol(col(r));
+            for (std::int32_t l = 0; l < cnt; ++l) dst[l] = 0;
           }
-          sp += 2;
           break;
-        }
 
   // Loads keep Slot-typed pointer columns (the bounds check is inherently
   // branchy); results are written through the typed view so downstream
   // arithmetic sees clean columns.
   #define KC_LOAD(OPNAME, CTYPE, BYTES, VIEW)                                       \
     case Op::Load##OPNAME: {                                                        \
-      Slot* col = stackCol(sp - 1);                                                 \
-      auto* out = VIEW(col);                                                        \
+      const Slot* ptr = col(insn.a);                                                \
+      auto* out = VIEW(col(insn.k));                                                \
       const std::int64_t* gids = laneGid + laneOff;                                 \
       for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-        const std::byte* addr = resolveLane(col[l].p, BYTES, gids[l]);              \
+        const std::byte* addr = resolveLane(ptr[l].p, BYTES, gids[l]);              \
         CTYPE v;                                                                    \
         std::memcpy(&v, addr, BYTES);                                               \
         out[l] = v;                                                                 \
       }                                                                             \
-      break;                                                                        \
-    }                                                                               \
-    case Op::LoadElem##OPNAME: {                                                    \
-      const std::int64_t* idx = iCol(stackCol(sp - 1));                             \
-      Slot* col = stackCol(sp - 2);                                                 \
-      auto* out = VIEW(col);                                                        \
-      const std::int64_t* gids = laneGid + laneOff;                                 \
-      for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-        const std::byte* addr =                                                     \
-            resolveLane(ptrPlus(col[l].p, idx[l], insn.a), BYTES, gids[l]);         \
-        CTYPE v;                                                                    \
-        std::memcpy(&v, addr, BYTES);                                               \
-        out[l] = v;                                                                 \
-      }                                                                             \
-      --sp;                                                                         \
-      break;                                                                        \
-    }                                                                               \
-    case Op::LoadSlotElem##OPNAME: {                                                \
-      const Slot* ptr = slotCol(insn.a);                                            \
-      const std::int64_t* idx = iCol(slotCol(insn.b));                              \
-      auto* out = VIEW(stackCol(sp));                                               \
-      const std::int64_t* gids = laneGid + laneOff;                                 \
-      for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-        const std::byte* addr =                                                     \
-            resolveLane(ptrPlus(ptr[l].p, idx[l], insn.c), BYTES, gids[l]);         \
-        CTYPE v;                                                                    \
-        std::memcpy(&v, addr, BYTES);                                               \
-        out[l] = v;                                                                 \
-      }                                                                             \
-      ++sp;                                                                         \
       break;                                                                        \
     }
         KC_LOAD(I32, std::int32_t, 4, iCol)
@@ -282,30 +230,14 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 
   #define KC_STORE(OPNAME, CTYPE, LOADV, BYTES)                                 \
     case Op::Store##OPNAME: {                                                   \
-      const Slot* val = stackCol(sp - 1);                                       \
-      const Slot* ptr = stackCol(sp - 2);                                       \
+      const Slot* ptr = col(insn.a);                                            \
+      const Slot* val = col(insn.b);                                            \
       const std::int64_t* gids = laneGid + laneOff;                             \
       for (std::int32_t l = 0; l < cnt; ++l) {                                  \
         std::byte* addr = resolveLane(ptr[l].p, BYTES, gids[l]);                \
         const CTYPE v = LOADV;                                                  \
         std::memcpy(addr, &v, BYTES);                                           \
       }                                                                         \
-      sp -= 2;                                                                  \
-      break;                                                                    \
-    }                                                                           \
-    case Op::TeeStore##OPNAME: {                                                \
-      const Slot* val = stackCol(sp - 1);                                       \
-      const Slot* ptr = stackCol(sp - 2);                                       \
-      std::uint64_t* tee = rawCol(slotCol(insn.a));                             \
-      const std::uint64_t* raw = rawCol(stackCol(sp - 1));                      \
-      const std::int64_t* gids = laneGid + laneOff;                             \
-      for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-        std::byte* addr = resolveLane(ptr[l].p, BYTES, gids[l]);                \
-        const CTYPE v = LOADV;                                                  \
-        std::memcpy(addr, &v, BYTES);                                           \
-        tee[l] = raw[l];                                                        \
-      }                                                                         \
-      sp -= 2;                                                                  \
       break;                                                                    \
     }
         KC_STORE(I32, std::int32_t, static_cast<std::int32_t>(val[l].i), 4)
@@ -315,44 +247,24 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   #undef KC_STORE
 
         case Op::PtrAdd: {
-          const std::int64_t* idx = iCol(stackCol(sp - 1));
-          Slot* col = stackCol(sp - 2);
+          const Slot* ptr = col(insn.a);
+          const std::int64_t* idx = iCol(col(insn.b));
+          Slot* dst = col(insn.k);
           for (std::int32_t l = 0; l < cnt; ++l) {
-            col[l] = Slot::fromPtr(ptrPlus(col[l].p, idx[l], insn.a));
-          }
-          --sp;
-          break;
-        }
-        case Op::PtrAddImm: {
-          Slot* col = stackCol(sp - 1);
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            col[l] = Slot::fromPtr(ptrPlus(col[l].p, insn.b, insn.a));
-          }
-          break;
-        }
-        case Op::IncSlotI: {
-          std::int64_t* col = iCol(slotCol(insn.a));
-          const std::int64_t d = insn.b;
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            col[l] = static_cast<std::int32_t>(col[l] + d);
+            dst[l] = Slot::fromPtr(ptrPlus(ptr[l].p, idx[l], insn.c));
           }
           break;
         }
 
-  #define KC_BIN_I(OPNAME, EXPR)                                    \
-    case Op::OPNAME: {                                              \
-      const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-      std::int64_t* acol = iCol(stackCol(sp - 2));                  \
-      for (std::int32_t l = 0; l < cnt; ++l) {                      \
-        const std::int64_t a = acol[l];                             \
-        const std::int64_t b = bcol[l];                             \
-        (void)a;                                                    \
-        (void)b;                                                    \
-        acol[l] = static_cast<std::int32_t>(EXPR);                  \
-      }                                                             \
-      --sp;                                                         \
-      break;                                                        \
-    }
+  #define KC_BIN_I(OPNAME, EXPR)                                             \
+    case Op::OPNAME:                                                         \
+      laneLoop(iCol(col(insn.k)), iCol(col(insn.a)), iCol(col(insn.b)), cnt, \
+               [](std::int64_t a, std::int64_t b) -> std::int64_t {          \
+                 (void)a;                                                    \
+                 (void)b;                                                    \
+                 return static_cast<std::int32_t>(EXPR);                     \
+               });                                                           \
+      break;
         KC_BIN_I(AddI, a + b)
         KC_BIN_I(SubI, a - b)
         KC_BIN_I(MulI, a * b)
@@ -367,8 +279,9 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 
   #define KC_DIVREM(OPNAME, CAST, CHECKED, MSG)                     \
     case Op::OPNAME: {                                              \
-      const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-      std::int64_t* acol = iCol(stackCol(sp - 2));                  \
+      const std::int64_t* acol = iCol(col(insn.a));                 \
+      const std::int64_t* bcol = iCol(col(insn.b));                 \
+      std::int64_t* dst = iCol(col(insn.k));                        \
       const std::int64_t* gids = laneGid + laneOff;                 \
       for (std::int32_t l = 0; l < cnt; ++l) {                      \
         const auto a = static_cast<CAST>(acol[l]);                  \
@@ -378,9 +291,8 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           globalId_ = gids[l];                                      \
           fault(MSG);                                               \
         }                                                           \
-        acol[l] = CHECKED;                                          \
+        dst[l] = CHECKED;                                           \
       }                                                             \
-      --sp;                                                         \
       break;                                                        \
     }
         KC_DIVREM(DivI, std::int64_t, static_cast<std::int32_t>(a / b),
@@ -395,69 +307,23 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
                   "integer division by zero")
         KC_DIVREM(RemUL, std::uint64_t, static_cast<std::int64_t>(a % b),
                   "integer remainder by zero")
+        // 2's-complement wrap for INT64_MIN / -1, and its remainder 0.
+        KC_DIVREM(DivL, std::int64_t,
+                  b == -1 && a == std::numeric_limits<std::int64_t>::min() ? a : a / b,
+                  "integer division by zero")
+        KC_DIVREM(RemL, std::int64_t, b == -1 ? std::int64_t{0} : a % b,
+                  "integer remainder by zero")
   #undef KC_DIVREM
 
-        case Op::DivL: {
-          const std::int64_t* bcol = iCol(stackCol(sp - 1));
-          std::int64_t* acol = iCol(stackCol(sp - 2));
-          const std::int64_t* gids = laneGid + laneOff;
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            const std::int64_t a = acol[l];
-            const std::int64_t b = bcol[l];
-            if (b == 0) {
-              globalId_ = gids[l];
-              fault("integer division by zero");
-            }
-            if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-              acol[l] = a;  // wrap, matching 2's-complement overflow
-            } else {
-              acol[l] = a / b;
-            }
-          }
-          --sp;
-          break;
-        }
-        case Op::RemL: {
-          const std::int64_t* bcol = iCol(stackCol(sp - 1));
-          std::int64_t* acol = iCol(stackCol(sp - 2));
-          const std::int64_t* gids = laneGid + laneOff;
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            const std::int64_t b = bcol[l];
-            if (b == 0) {
-              globalId_ = gids[l];
-              fault("integer remainder by zero");
-            }
-            acol[l] = b == -1 ? std::int64_t{0} : acol[l] % b;
-          }
-          --sp;
-          break;
-        }
-
-        case Op::NegI: {
-          std::int64_t* col = iCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = static_cast<std::int32_t>(-col[l]);
-          break;
-        }
-        case Op::NotI: {
-          std::int64_t* col = iCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = static_cast<std::int32_t>(~col[l]);
-          break;
-        }
-
-  #define KC_BIN_L(OPNAME, EXPR)                                    \
-    case Op::OPNAME: {                                              \
-      const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-      std::int64_t* acol = iCol(stackCol(sp - 2));                  \
-      for (std::int32_t l = 0; l < cnt; ++l) {                      \
-        const std::int64_t a = acol[l];                             \
-        const std::int64_t b = bcol[l];                             \
-        (void)a;                                                    \
-        (void)b;                                                    \
-        acol[l] = static_cast<std::int64_t>(EXPR);                  \
-      }                                                             \
-      --sp;                                                         \
-      break;                                                        \
-    }
+  #define KC_BIN_L(OPNAME, EXPR)                                             \
+    case Op::OPNAME:                                                         \
+      laneLoop(iCol(col(insn.k)), iCol(col(insn.a)), iCol(col(insn.b)), cnt, \
+               [](std::int64_t a, std::int64_t b) -> std::int64_t {          \
+                 (void)a;                                                    \
+                 (void)b;                                                    \
+                 return static_cast<std::int64_t>(EXPR);                     \
+               });                                                           \
+      break;
         KC_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
         KC_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
         KC_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
@@ -469,72 +335,41 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         KC_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
   #undef KC_BIN_L
 
-        case Op::NegL: {
-          std::int64_t* col = iCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            col[l] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(col[l]));
-          }
-          break;
-        }
-        case Op::NotL: {
-          std::int64_t* col = iCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = ~col[l];
-          break;
-        }
-
   #define KC_BIN_F32(OPNAME, OPERATOR)                                          \
-    case Op::OPNAME: {                                                          \
-      const double* bcol = fCol(stackCol(sp - 1));                              \
-      double* acol = fCol(stackCol(sp - 2));                                    \
-      for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-        acol[l] = static_cast<float>(static_cast<float>(acol[l])                \
-                                         OPERATOR static_cast<float>(bcol[l])); \
-      }                                                                         \
-      --sp;                                                                     \
-      break;                                                                    \
-    }
+    case Op::OPNAME:                                                            \
+      laneLoop(fCol(col(insn.k)), fCol(col(insn.a)), fCol(col(insn.b)), cnt,    \
+               [](double a, double b) -> double {                               \
+                 return static_cast<float>(static_cast<float>(a)                \
+                                               OPERATOR static_cast<float>(b)); \
+               });                                                              \
+      break;
         KC_BIN_F32(AddF32, +)
         KC_BIN_F32(SubF32, -)
         KC_BIN_F32(MulF32, *)
         KC_BIN_F32(DivF32, /)
   #undef KC_BIN_F32
 
-  #define KC_BIN_F64(OPNAME, OPERATOR)                                           \
-    case Op::OPNAME: {                                                           \
-      const double* bcol = fCol(stackCol(sp - 1));                               \
-      double* acol = fCol(stackCol(sp - 2));                                     \
-      for (std::int32_t l = 0; l < cnt; ++l) acol[l] = acol[l] OPERATOR bcol[l]; \
-      --sp;                                                                      \
-      break;                                                                     \
-    }
+  #define KC_BIN_F64(OPNAME, OPERATOR)                                       \
+    case Op::OPNAME:                                                         \
+      laneLoop(fCol(col(insn.k)), fCol(col(insn.a)), fCol(col(insn.b)), cnt, \
+               [](double a, double b) -> double { return a OPERATOR b; });   \
+      break;
         KC_BIN_F64(AddF64, +)
         KC_BIN_F64(SubF64, -)
         KC_BIN_F64(MulF64, *)
         KC_BIN_F64(DivF64, /)
   #undef KC_BIN_F64
 
-        case Op::NegF32: {
-          double* col = fCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = -static_cast<float>(col[l]);
-          break;
-        }
-        case Op::NegF64: {
-          double* col = fCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = -col[l];
-          break;
-        }
-
   #define KC_CMP(OPNAME, TYPE, VIEW, OPERATOR)                                  \
     case Op::OPNAME: {                                                          \
-      const auto* bcol = VIEW(static_cast<Slot*>(stackCol(sp - 1)));            \
-      const auto* asrc = VIEW(static_cast<Slot*>(stackCol(sp - 2)));            \
-      std::int64_t* adst = iCol(stackCol(sp - 2));                              \
+      const auto* acol = VIEW(col(insn.a));                                     \
+      const auto* bcol = VIEW(col(insn.b));                                     \
+      std::int64_t* dst = iCol(col(insn.k));                                    \
       for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-        const auto a = static_cast<TYPE>(asrc[l]);                              \
+        const auto a = static_cast<TYPE>(acol[l]);                              \
         const auto b = static_cast<TYPE>(bcol[l]);                              \
-        adst[l] = (a OPERATOR b) ? 1 : 0;                                       \
+        dst[l] = (a OPERATOR b) ? 1 : 0;                                        \
       }                                                                         \
-      --sp;                                                                     \
       break;                                                                    \
     }
         KC_CMP(EqI, std::int64_t, iCol, ==)
@@ -557,66 +392,48 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         KC_CMP(LeF, double, fCol, <=)
         KC_CMP(GtF, double, fCol, >)
         KC_CMP(GeF, double, fCol, >=)
-  #undef KC_CMP
-
         // Ptr is {int32 region, uint32 offset} with no padding, so pointer
         // equality is 8-byte raw equality.
-        case Op::EqP: {
-          const std::uint64_t* bcol = rawCol(stackCol(sp - 1));
-          const std::uint64_t* asrc = rawCol(stackCol(sp - 2));
-          std::int64_t* adst = iCol(stackCol(sp - 2));
-          for (std::int32_t l = 0; l < cnt; ++l) adst[l] = asrc[l] == bcol[l] ? 1 : 0;
-          --sp;
-          break;
-        }
-        case Op::NeP: {
-          const std::uint64_t* bcol = rawCol(stackCol(sp - 1));
-          const std::uint64_t* asrc = rawCol(stackCol(sp - 2));
-          std::int64_t* adst = iCol(stackCol(sp - 2));
-          for (std::int32_t l = 0; l < cnt; ++l) adst[l] = asrc[l] != bcol[l] ? 1 : 0;
-          --sp;
-          break;
-        }
-        case Op::LNot: {
-          std::int64_t* col = iCol(stackCol(sp - 1));
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = col[l] == 0 ? 1 : 0;
-          break;
-        }
+        KC_CMP(EqP, std::uint64_t, rawCol, ==)
+        KC_CMP(NeP, std::uint64_t, rawCol, !=)
+  #undef KC_CMP
 
-  #define KC_CONV(OPNAME, SRCVIEW, DSTVIEW, EXPR)  \
-    case Op::OPNAME: {                             \
-      Slot* c = stackCol(sp - 1);                  \
-      const auto* src = SRCVIEW(c);                \
-      auto* dst = DSTVIEW(c);                      \
-      for (std::int32_t l = 0; l < cnt; ++l) {     \
-        const auto v = src[l];                     \
-        dst[l] = EXPR;                             \
-      }                                            \
-      break;                                       \
+  #define KC_UNARY(OPNAME, SRCVIEW, DSTVIEW, EXPR)  \
+    case Op::OPNAME: {                              \
+      const auto* src = SRCVIEW(col(insn.a));       \
+      auto* dst = DSTVIEW(col(insn.k));             \
+      for (std::int32_t l = 0; l < cnt; ++l) {      \
+        const auto v = src[l];                      \
+        dst[l] = EXPR;                              \
+      }                                             \
+      break;                                        \
     }
-        KC_CONV(I2F32, iCol, fCol, static_cast<float>(v))
-        KC_CONV(I2F64, iCol, fCol, static_cast<double>(v))
-        KC_CONV(U2F32, iCol, fCol, static_cast<float>(static_cast<std::uint32_t>(v)))
-        KC_CONV(U2F64, iCol, fCol, static_cast<double>(static_cast<std::uint32_t>(v)))
-        KC_CONV(UL2F32, iCol, fCol, static_cast<float>(static_cast<std::uint64_t>(v)))
-        KC_CONV(UL2F64, iCol, fCol, static_cast<double>(static_cast<std::uint64_t>(v)))
-        KC_CONV(F2I, fCol, iCol, static_cast<std::int32_t>(v))
-        KC_CONV(F2L, fCol, iCol, static_cast<std::int64_t>(v))
-        KC_CONV(F2U, fCol, iCol,
-                static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))
-        KC_CONV(F2UL, fCol, iCol,
-                static_cast<std::int64_t>(static_cast<std::uint64_t>(v)))
-        KC_CONV(F64toF32, fCol, fCol, static_cast<float>(v))
-        KC_CONV(I2U, iCol, iCol,
-                static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))
-        KC_CONV(U2I, iCol, iCol,
-                static_cast<std::int32_t>(static_cast<std::uint32_t>(v)))
-        KC_CONV(BoolNorm, iCol, iCol, v != 0 ? 1 : 0)
-  #undef KC_CONV
+        KC_UNARY(NegI, iCol, iCol, static_cast<std::int32_t>(-v))
+        KC_UNARY(NotI, iCol, iCol, static_cast<std::int32_t>(~v))
+        KC_UNARY(NegL, iCol, iCol, static_cast<std::int64_t>(-static_cast<std::uint64_t>(v)))
+        KC_UNARY(NotL, iCol, iCol, ~v)
+        KC_UNARY(NegF32, fCol, fCol, -static_cast<float>(v))
+        KC_UNARY(NegF64, fCol, fCol, -v)
+        KC_UNARY(LNot, iCol, iCol, v == 0 ? 1 : 0)
+        KC_UNARY(I2F32, iCol, fCol, static_cast<float>(v))
+        KC_UNARY(I2F64, iCol, fCol, static_cast<double>(v))
+        KC_UNARY(U2F32, iCol, fCol, static_cast<float>(static_cast<std::uint32_t>(v)))
+        KC_UNARY(U2F64, iCol, fCol, static_cast<double>(static_cast<std::uint32_t>(v)))
+        KC_UNARY(UL2F32, iCol, fCol, static_cast<float>(static_cast<std::uint64_t>(v)))
+        KC_UNARY(UL2F64, iCol, fCol, static_cast<double>(static_cast<std::uint64_t>(v)))
+        KC_UNARY(F2I, fCol, iCol, static_cast<std::int32_t>(v))
+        KC_UNARY(F2L, fCol, iCol, static_cast<std::int64_t>(v))
+        KC_UNARY(F2U, fCol, iCol, static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))
+        KC_UNARY(F2UL, fCol, iCol, static_cast<std::int64_t>(static_cast<std::uint64_t>(v)))
+        KC_UNARY(F64toF32, fCol, fCol, static_cast<float>(v))
+        KC_UNARY(I2U, iCol, iCol, static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))
+        KC_UNARY(U2I, iCol, iCol, static_cast<std::int32_t>(static_cast<std::uint32_t>(v)))
+        KC_UNARY(BoolNorm, iCol, iCol, v != 0 ? 1 : 0)
+  #undef KC_UNARY
 
         case Op::Jmp:
-          if (insn.a < ip) checkBudget(retired);
-          ip = insn.a;
+          if (insn.k < ip) checkBudget(retired);
+          ip = insn.k;
           break;
 
         case Op::Jz:
@@ -625,18 +442,17 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         case Op::CmpJnz: {
           const bool fused = insn.op == Op::CmpJz || insn.op == Op::CmpJnz;
           const bool jumpOnTrue = insn.op == Op::Jnz || insn.op == Op::CmpJnz;
-          sp -= fused ? 2 : 1;
           std::int32_t nTaken = 0;
           if (fused) {
-            const Slot* acol = stackCol(sp);
-            const Slot* bcol = stackCol(sp + 1);
+            const Slot* acol = col(insn.a);
+            const Slot* bcol = col(insn.b);
             const Op cmp = static_cast<Op>(insn.c);
             for (std::int32_t l = 0; l < cnt; ++l) {
               mask[l] = cmpHolds(cmp, acol[l], bcol[l]) == jumpOnTrue ? 1 : 0;
               nTaken += mask[l];
             }
           } else {
-            const std::int64_t* acol = iCol(stackCol(sp));
+            const std::int64_t* acol = iCol(col(insn.a));
             for (std::int32_t l = 0; l < cnt; ++l) {
               mask[l] = ((acol[l] != 0) == jumpOnTrue) ? 1 : 0;
               nTaken += mask[l];
@@ -644,15 +460,16 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           }
           if (nTaken == 0) break;  // whole group falls through
           if (nTaken == cnt) {
-            if (insn.a < ip) checkBudget(retired);
-            ip = insn.a;
+            if (insn.k < ip) checkBudget(retired);
+            ip = insn.k;
             break;
           }
           // Divergence: physically partition the group's segment of every
-          // live column — stay lanes keep the front (order preserved), taken
-          // lanes compact behind them and branch off as a pending group.
-          // Both children stay contiguous, so every later loop remains
-          // unit-stride.  LIFO scheduling; no reconvergence.
+          // live register — the slots and the stack registers below the
+          // branch's stack height — so stay lanes keep the front (order
+          // preserved) and taken lanes compact behind them as a pending
+          // group.  Both children stay contiguous, so every later loop
+          // remains unit-stride.  LIFO scheduling; no reconvergence.
           const std::int32_t stayCnt = cnt - nTaken;
           const auto partitionSeg = [&](std::uint64_t* seg) {
             std::int32_t w = 0;
@@ -667,59 +484,50 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
             }
             std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
           };
-          for (std::size_t s = 0; s < numSlots; ++s) {
-            partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
-          }
-          for (std::int32_t d = 0; d < sp; ++d) {
-            partitionSeg(rawCol(stackCol(d)));
+          const std::size_t live =
+              numSlots + static_cast<std::size_t>(fn.branchHeight[static_cast<std::size_t>(ip - 1)]);
+          for (std::size_t r = 0; r < live; ++r) {
+            partitionSeg(rawCol(col(static_cast<std::int32_t>(r))));
           }
           partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
-          if (insn.a < ip && retired > kMaxInstructionsPerItem) {
+          if (insn.k < ip && retired > kMaxInstructionsPerItem) {
             globalId_ = laneGid[laneOff + stayCnt];
             fault("instruction budget exceeded (infinite loop?)");
           }
-          pending[nPending++] = Group{insn.a, sp, laneOff + stayCnt, nTaken, retired};
+          pending[nPending++] = Group{insn.k, laneOff + stayCnt, nTaken, retired};
           laneCount = stayCnt;
           break;
         }
 
         case Op::CallBuiltin: {
           checkBudget(retired);
-          const BuiltinDef& def = builtins_[insn.a];
-          const std::int32_t argc = insn.b;
-          sp -= argc;
+          const BuiltinDef& def = builtins_[insn.c];
+          const auto argc = static_cast<std::int32_t>(def.params.size());
+          const std::int64_t* gids = laneGid + laneOff;
           // Fast path for the ubiquitous get_global_id(dim).
           if (argc == 1 && std::strcmp(def.name, "get_global_id") == 0) {
-            std::int64_t* col = iCol(stackCol(sp));
-            const std::int64_t* gids = laneGid + laneOff;
-            for (std::int32_t l = 0; l < cnt; ++l) col[l] = col[l] == 0 ? gids[l] : 0;
-            ++sp;
+            const std::int64_t* dim = iCol(col(insn.a));
+            std::int64_t* dst = iCol(col(insn.k));
+            for (std::int32_t l = 0; l < cnt; ++l) dst[l] = dim[l] == 0 ? gids[l] : 0;
             break;
           }
           SKELCL_CHECK(argc <= 8, "builtin arity exceeds batch marshalling buffer");
+          // Up to two arguments come from registers a and b, more from the
+          // contiguous range starting at a (encode.cpp).
+          const Slot* argCol[8];
+          for (std::int32_t i = 0; i < argc; ++i) {
+            argCol[i] = col(argc <= 2 ? (i == 0 ? insn.a : insn.b) : insn.a + i);
+          }
           Slot argv[8];
-          Slot* res = stackCol(sp);
-          const std::int64_t* gids = laneGid + laneOff;
+          Slot* res = col(insn.k);
           for (std::int32_t l = 0; l < cnt; ++l) {
             globalId_ = gids[l];  // geometry builtins read it via BuiltinCtx
-            for (std::int32_t a2 = 0; a2 < argc; ++a2) argv[a2] = stackCol(sp + a2)[l];
+            for (std::int32_t i = 0; i < argc; ++i) argv[i] = argCol[i][l];
             const Slot r = def.fn(*this, argv);
             if (def.ret != BType::Void) res[l] = r;
           }
-          if (def.ret != BType::Void) ++sp;
           break;
         }
-
-        case Op::Dup: {
-          const std::uint64_t* src = rawCol(stackCol(sp - 1));
-          std::uint64_t* dst = rawCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) dst[l] = src[l];
-          ++sp;
-          break;
-        }
-        case Op::Drop:
-          --sp;
-          break;
 
         case Op::RetVoid: {
           // This group's lanes are done; resume the most recently split group.
@@ -731,7 +539,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           laneOff = g.off;
           laneCount = g.cnt;
           ip = g.ip;
-          sp = g.sp;
           retired = g.retired;
           break;
         }
@@ -741,12 +548,8 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           fault("non-void function reached the end without returning a value");
           break;
 
-        // Excluded by FunctionCode::batchable; reaching one is a VM bug.
-        case Op::PushF:
-        case Op::LeaFrame:
-        case Op::MemCopy:
-        case Op::CallFn:
-        case Op::Ret:
+        // Excluded by FunctionCode::batchable, or stack code the register
+        // translation never emits; reaching one is a VM bug.
         default:
           globalId_ = laneGid[laneOff];
           fault("non-batchable instruction in batched execution");

@@ -9,7 +9,7 @@
 
 namespace skelcl::kc::detail {
 
-/// Evaluate one fused comparison exactly as the standalone opcode would.
+/// Evaluate one comparison opcode (standalone or fused into CmpJz/CmpJnz).
 inline bool cmpHolds(Op op, const Slot& a, const Slot& b) {
   switch (op) {
     case Op::EqI: return a.i == b.i;
@@ -34,7 +34,7 @@ inline bool cmpHolds(Op op, const Slot& a, const Slot& b) {
     case Op::GeF: return a.f >= b.f;
     case Op::EqP: return a.p.region == b.p.region && a.p.offset == b.p.offset;
     case Op::NeP: return a.p.region != b.p.region || a.p.offset != b.p.offset;
-    default: return false;  // peephole only fuses the ops above
+    default: return false;  // the translation only fuses the ops above
   }
 }
 

@@ -27,6 +27,15 @@ const std::string& step2UserFunctionSource();
 /// CUDA-style implementations (typedef + march + __kernel wrappers).
 const std::string& rawKernelsSource();
 
+/// The complete kernel source SkelCL generates for the step-1 Map (the Event
+/// typedef, the user function and the `skelcl_kernel` wrapper), taken from
+/// the program cache after running the Map on one event.  Starts and ends
+/// its own one-GPU SkelCL session, so call it with no session active.
+/// Kernel parameters: (int* skelcl_out, int skelcl_n, int skelcl_base,
+/// Event* events, int evOffset, int evCount, float* f, float* c, int nx,
+/// int ny, int nz, float voxel).
+std::string generatedStep1KernelSource();
+
 /// Register the Event struct with SkelCL's type registry (idempotent).
 void registerOsemKernelTypes();
 

@@ -7,7 +7,9 @@
 // SkelCL performs the transfers implicitly and lazily.
 //
 // The OSEM-LOC markers delimit what Figure 4a counts as "host code".
+#include "core/detail/session.hpp"
 #include "core/skelcl.hpp"
+#include "ocl/program.hpp"
 #include "osem/osem.hpp"
 #include "osem/osem_kernels.hpp"
 
@@ -108,6 +110,40 @@ OsemResult reconstructSkelCLSingle(const OsemData& data) {
 }
 
 }  // namespace
+
+std::string generatedStep1KernelSource() {
+  registerOsemKernelTypes();
+  init(sim::SystemConfig::teslaS1070(1));
+  std::string source;
+  try {
+    // One event through the step-1 Map makes SkelCL generate and cache the
+    // kernel; its program cache then holds the exact text.
+    Map<int(Index)> mapComputeC(step1UserFunctionSource());
+    Vector<Event> events(std::vector<Event>{Event{-40.0f, 0.0f, 0.0f, 40.0f, 1.0f, 2.0f}});
+    IndexVector index(1);
+    Vector<float> f(std::vector<float>(8, 1.0f));
+    Vector<float> c(8);
+    events.setDistribution(Distribution::single());
+    index.setDistribution(Distribution::single());
+    f.setDistribution(Distribution::single());
+    c.setDistribution(Distribution::single());
+    mapComputeC(index, events, events.offsets(), events.sizes(), f, c, 2, 2, 2, 2.0f);
+    finish();
+    for (const auto& program : detail::currentSession().shared().cachedPrograms()) {
+      const std::string& text = program->compiled()->source;
+      if (text.find("skelcl_kernel") != std::string::npos &&
+          text.find("osem_march") != std::string::npos) {
+        source = text;
+      }
+    }
+  } catch (...) {
+    terminate();
+    throw;
+  }
+  terminate();
+  SKELCL_CHECK(!source.empty(), "the step-1 Map generated no kernel");
+  return source;
+}
 
 OsemResult runOsemSkelCLPreInitialized(const OsemData& data) {
   registerOsemKernelTypes();

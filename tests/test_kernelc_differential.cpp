@@ -1,10 +1,10 @@
 // Differential tests across the interpreter paths (docs/VM.md): the same
 // source compiled by the reference pipeline and by the optimized pipeline
-// (peephole + packed encoding), the latter run on both the fast and the
+// (inlining + register code), the latter run on both the fast and the
 // work-group-batched interpreter, must produce bit-identical buffer
-// contents, identical scalar results, and — because superinstructions carry
-// the weight of the naive windows they replace — identical retired-
-// instruction counts (which drive simulated kernel time).
+// contents, identical scalar results, and — because every register
+// instruction carries the weight of the stack instructions folded into it —
+// identical retired-instruction counts (which drive simulated kernel time).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,8 @@
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/program.hpp"
 #include "kernelc/vm.hpp"
+#include "osem/osem.hpp"
+#include "osem/osem_kernels.hpp"
 
 using namespace skelcl::kc;
 
@@ -141,6 +143,62 @@ TEST(KernelcDifferential, OsemShapedKernel) {
   std::vector<float> data(64);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = 0.25f * static_cast<float>(i + 1);
   expectIdentical(src, "project", data, 32, {Slot::fromInt(std::int64_t{32})});
+}
+
+TEST(KernelcDifferential, OsemStep1SkelclKernel) {
+  // The kernel SkelCL generates for OSEM step 1: the index Map wrapper calls
+  // `func`, which keeps its call (an Event struct local) and inlines two
+  // osem_march copies, one scattering into c with atomic_add_f.  Run per item
+  // in order, both pipelines must leave the same c image bit for bit and
+  // retire the same count.
+  skelcl::osem::OsemConfig cfg;
+  cfg.volume.nx = cfg.volume.ny = cfg.volume.nz = 24;
+  cfg.eventsPerSubset = 300;
+  cfg.numSubsets = 1;
+  const auto data = skelcl::osem::OsemData::generate(cfg);
+  const auto& vol = data.volume();
+  const std::string source = skelcl::osem::generatedStep1KernelSource();
+  const auto n = static_cast<std::int64_t>(data.subsetSize());
+
+  std::vector<float> images[2];
+  std::uint64_t counts[2] = {0, 0};
+  for (int opt = 0; opt < 2; ++opt) {
+    const auto program = compileProgram(source, CompileOptions{opt == 1});
+    std::vector<skelcl::osem::Event> events(data.subset(0), data.subset(0) + n);
+    std::vector<std::int32_t> out(static_cast<std::size_t>(n), -1);
+    std::vector<float> f(vol.voxels());
+    for (std::size_t v = 0; v < f.size(); ++v) f[v] = 0.5f + 0.001f * static_cast<float>(v % 977);
+    std::vector<float>& c = images[opt];
+    c.assign(vol.voxels(), 0.0f);
+    std::vector<MemRegion> regions;
+    const auto bind = [&](void* p, std::size_t bytes) {
+      regions.push_back(MemRegion{static_cast<std::byte*>(p), bytes});
+      Ptr ptr;
+      ptr.region = static_cast<std::int32_t>(regions.size());
+      return Slot::fromPtr(ptr);
+    };
+    const Slot outArg = bind(out.data(), out.size() * sizeof(std::int32_t));
+    const Slot eventsArg = bind(events.data(), events.size() * sizeof(skelcl::osem::Event));
+    const Slot fArg = bind(f.data(), f.size() * sizeof(float));
+    const Slot cArg = bind(c.data(), c.size() * sizeof(float));
+    const std::vector<Slot> args{outArg, Slot::fromInt(n), Slot::fromInt(std::int64_t{0}),
+                                 eventsArg, Slot::fromInt(std::int64_t{0}), Slot::fromInt(n),
+                                 fArg, cArg, Slot::fromInt(std::int64_t{vol.nx}),
+                                 Slot::fromInt(std::int64_t{vol.ny}),
+                                 Slot::fromInt(std::int64_t{vol.nz}),
+                                 Slot::fromFloat(static_cast<double>(vol.voxel))};
+    Vm vm(*program, regions);
+    const int k = program->findKernel("skelcl_kernel");
+    ASSERT_GE(k, 0);
+    for (std::int64_t gid = 0; gid < n; ++gid) vm.runKernel(k, args, gid, n);
+    counts[opt] = vm.instructionsExecuted();
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::int32_t v) { return v == 0; }));
+  }
+  EXPECT_EQ(counts[1], counts[0]) << "retired-instruction counts diverged";
+  EXPECT_EQ(0, std::memcmp(images[1].data(), images[0].data(), images[0].size() * sizeof(float)))
+      << "error image c diverged between pipelines";
+  EXPECT_GT(std::count_if(images[0].begin(), images[0].end(), [](float v) { return v > 0.0f; }),
+            100);
 }
 
 TEST(KernelcDifferential, FrameArraysAndStructs) {
@@ -454,6 +512,126 @@ TEST(KernelcInline, FaultInsideInlinedCalleeNamesTheCallee) {
       }
     }
   }
+}
+
+// --- Register translation (encode.cpp) ---------------------------------------
+// Folding reads a slot operand where the stack code loaded it, and a slot
+// store retargets the instruction that produced the value.  Each case below
+// keeps an old slot value alive on the operand stack while the slot is
+// rewritten, or takes weight from folded instructions, so a translation that
+// forwards a stale slot or drops a folded weight diverges from the
+// reference pipeline in data or in retired count.
+
+TEST(KernelcRegister, SlotReassignedBetweenLoadAndUse) {
+  const std::string src = R"(
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      int x = gid;
+      int t = x;
+      x = x + 1;
+      int u = t * x;
+      int y = x + (x = x * 3);
+      int z = x + (x = u);
+      int v = x * (x = 7) - x;
+      out[gid] = (float)(u * 1000 + y * 10 + x) + (float)(z * 100000 + v);
+    }
+  )";
+  expectIdentical(src, "k", std::vector<float>(40, 0.0f), 40);
+}
+
+TEST(KernelcRegister, PostIncrementUsedAsValue) {
+  const std::string src = R"(
+    __kernel void k(__global float* out, int n) {
+      int gid = get_global_id(0);
+      int i = gid;
+      int a = i++ * 2 + i;
+      int b = 0;
+      int j = 0;
+      while (j < n) b = b + j++ * i--;
+      out[gid] = (float)(a * 100 + b + i * 7 + j);
+    }
+  )";
+  expectIdentical(src, "k", std::vector<float>(48, 0.0f), 48, {Slot::fromInt(std::int64_t{5})});
+}
+
+TEST(KernelcRegister, ConditionalValuesLiveAcrossJoins) {
+  // The left operand sits on the stack while control splits and rejoins,
+  // and each arm rewrites the slot it was loaded from.
+  const std::string src = R"(
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      int x = gid % 7;
+      int p = gid % 3;
+      int r = x + (p == 1 ? (x = x + 2) : (x = x - 1));
+      int s = x * 10 + ((x > 2) && (p != 0)) + 2 * ((x = x + 1) < 3 || p == 2);
+      float f = (float)x;
+      float g = f + (p == 0 ? f * 2.0f : 0.5f);
+      out[gid] = (float)(r * 100 + s * 3 + x) + g;
+    }
+  )";
+  expectIdentical(src, "k", std::vector<float>(300, 0.0f), 300);
+}
+
+TEST(KernelcRegister, DeepOperandStackAtDivergentBranch) {
+  // 300 pending left operands (each lane's own x) sit on the operand stack
+  // at the `?:` and `&&` branches, which split every batch; the batched
+  // interpreter must carry all of them across the split.
+  std::string expr = "(p ? x : 3) + (x > 4 && p)";
+  for (int i = 0; i < 300; ++i) expr = std::string("x ") + (i % 2 ? "-" : "+") + " (" + expr + ")";
+  const std::string src = R"(
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      int x = gid * 3 + 1;
+      int p = gid % 2;
+      out[gid] = (float)()" + expr + R"();
+    }
+  )";
+  expectIdentical(src, "k", std::vector<float>(300, 0.0f), 300);
+}
+
+TEST(KernelcRegister, CompoundAssignReadsTheSameElement) {
+  // a[i] += a[i]: address, old value and right-hand side all come from the
+  // same slots; i++ inside the index moves i after the address is formed.
+  const std::string src = R"(
+    __kernel void k(__global float* data, int n) {
+      int gid = get_global_id(0);
+      int i = n + gid;
+      data[i] += data[i];
+      data[i] *= data[i] - 1.0f;
+      data[i++] += (float)i;
+      data[gid] = data[i - 1] + (float)i;
+    }
+  )";
+  std::vector<float> data(64);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = 0.25f * static_cast<float>(i % 13) + 1.0f;
+  expectIdentical(src, "k", data, 32, {Slot::fromInt(std::int64_t{32})});
+}
+
+TEST(KernelcRegister, CallAndBuiltinArgumentsFromSlots) {
+  // Consecutive slot arguments are passed in place, others are copied into
+  // the argument registers; a call result may land in one of its own
+  // argument slots.  `twist` keeps its call (a struct local).
+  const std::string src = R"(
+    struct P { float a; float b; };
+    float twist(float a, float b, float c) {
+      struct P p;
+      p.a = a * b; p.b = c;
+      return p.a - p.b;
+    }
+    __kernel void k(__global float* out) {
+      int gid = get_global_id(0);
+      float x = (float)gid * 0.5f;
+      float y = 3.0f - x;
+      float z = x * y;
+      float m = fmin(x, y);
+      float c = clamp(z, y, x);
+      x = fmax(x, y);
+      float t = twist(x, y, z) + twist(z, x, y);
+      y = twist(y, y, x);
+      out[gid] = m + c + x + t + y + fmin(y, twist(m, c, t));
+    }
+  )";
+  expectIdentical(src, "k", std::vector<float>(40, 0.0f), 40);
 }
 
 }  // namespace

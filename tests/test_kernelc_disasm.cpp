@@ -10,7 +10,7 @@ using namespace skelcl::kc;
 namespace {
 
 // The goldens below document the compiler's naive instruction selection, so
-// they compile with the peephole pass off.
+// they compile with the reference pipeline.
 std::string dump(const std::string& source, const std::string& fn) {
   const auto program = compileProgram(source, CompileOptions{/*optimize=*/false});
   const int idx = program->findFunction(fn);
@@ -70,12 +70,11 @@ TEST(KernelcDisasm, EveryOpcodeHasAName) {
 }
 
 TEST(KernelcDisasm, SuperinstructionsCarryWeights) {
-  // a + b fuses the two operand loads; the weight suffix documents how many
-  // naive instructions the fused one retires.
+  // In register code a + b reads both slots directly; the weight suffix
+  // documents how many naive instructions (two loads and the add) it retires.
   const std::string text =
-      dumpOptimized("int f(int a, int b) { return a + b; }", "f", /*packed=*/false);
-  EXPECT_NE(text.find("load.slot2 s0 s1"), std::string::npos);
-  EXPECT_NE(text.find(";w=2"), std::string::npos);
+      dumpOptimized("int f(int a, int b) { return a + b; }", "f", /*packed=*/true);
+  EXPECT_NE(text.find("add.i r2, r0, r1  ;w=3"), std::string::npos) << text;
 }
 
 TEST(KernelcDisasm, PackedDumpShowsHeaderAndPool) {
@@ -90,8 +89,12 @@ TEST(KernelcDisasm, PackedDumpFusedBranch) {
   const std::string text = dumpOptimized(
       "int f(int n) { int s = 0; for (int i = 0; i < n; ++i) s = s + i; return s; }",
       "f", /*packed=*/true);
-  EXPECT_NE(text.find("cmp.j"), std::string::npos);  // fused compare-and-branch
-  EXPECT_NE(text.find("incslot.i"), std::string::npos);
+  // Slots n=r0, s=r1, i=r2.  The loop test compares two slots and branches.
+  // ++i adds a constant register into i in place; its weight 6 counts the
+  // load, push and add of `i + 1` plus the dup, store and drop folded from
+  // the statement before it.
+  EXPECT_NE(text.find("cmp.jz 6 (lt.i r2, r0)"), std::string::npos) << text;
+  EXPECT_NE(text.find("add.i r2, r2, r6  ;w=6"), std::string::npos) << text;
 }
 
 }  // namespace
